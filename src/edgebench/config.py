@@ -341,6 +341,9 @@ def _build_config(doc: dict) -> ScenarioConfig:
         raise ParseError("edge pipeline requires a hub section")
     if pipeline == "cloud" and cloud_fn is None:
         raise ParseError("cloud pipeline requires a cloud_function section")
+    if pipeline == "cloud" and link.drop_probability > 0:
+        raise ParseError(f"link.drop_probability: the cloud pipeline does not model drops, "
+                         f"got {link.drop_probability}")
     resources = (_build_resources(doc["resources"])
                  if isinstance(doc.get("resources"), dict) else None)
     clock_section = doc.get("clock") or {}

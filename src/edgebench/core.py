@@ -7,12 +7,16 @@ quantities are rounded half-to-even before entering the event queue.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 MS_PER_S = 1000
+_SCALAR_RUN = 64  # doubles in a row a SeededRng draws one at a time
+_MAX_BLOCK = 1024  # doubles a SeededRng draws ahead at most
+_DOUBLE_STEP = 2.0**-53  # numpy's double from a 64-bit output: (bits >> 11) * 2**-53
 
 
 class SimulationError(Exception):
@@ -78,11 +82,25 @@ class SeededRng:
     from the root seed and the component name, so adding a component
     never perturbs the draws of existing ones. The splitting rule is:
     child entropy = (root_seed, utf-8 bytes of the name).
+
+    ``random`` and ``uniform`` draw the first ``_SCALAR_RUN`` doubles of a
+    run one at a time and serve the rest of the run from blocks drawn
+    ahead with ``Generator.random(k)``, each a quarter of the run so far.
+    Before any other kind of draw the generator is stepped back over the
+    doubles not yet served (PCG64 jumps back exactly), so every draw is
+    value-for-value identical to the same call on an unbuffered
+    ``numpy.random.Generator``. Streams that mix kinds in short runs thus
+    never draw ahead, and a long run steps back once, over less than a
+    fifth of the doubles it drew.
+
+    An instance is not thread-safe: each one is used by a single thread
+    (in live mode the device thread owns the workload, link and cloud
+    streams and the loop thread owns the hub stream).
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._gen = self._make_generator((self._unsigned(),))
+        self._attach(self._make_generator((self._unsigned(),)))
 
     def _unsigned(self) -> int:
         return self.seed & (2**64 - 1)  # SeedSequence wants non-negative entropy
@@ -91,23 +109,89 @@ class SeededRng:
     def _make_generator(entropy: tuple) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
+    def _attach(self, gen: np.random.Generator) -> None:
+        self._gen = gen
+        self._raw = gen.bit_generator.random_raw
+        self._doubles: list[float] = []  # drawn ahead, next one last
+        self._run = 0  # doubles drawn since the last other kind of draw
+
     def substream(self, name: str) -> "SeededRng":
         child = SeededRng.__new__(SeededRng)
         child.seed = self.seed
-        child._gen = self._make_generator((self._unsigned(),) + tuple(name.encode("utf-8")))
+        child._attach(self._make_generator((self._unsigned(),) + tuple(name.encode("utf-8"))))
         return child
 
+    def _refill(self) -> float:
+        """Serve the next double once none are left drawn ahead.
+
+        The first ``_SCALAR_RUN`` doubles of a run are drawn one at a
+        time; after that each block holds a quarter of the run so far.
+        """
+        run = self._run
+        if run < _SCALAR_RUN:
+            self._run = run + 1
+            return (self._raw() >> 11) * _DOUBLE_STEP  # Generator.random() without its call overhead
+        block = min(run // 4, _MAX_BLOCK)
+        self._run = run + block
+        self._doubles = self._gen.random(block)[::-1].tolist()
+        return self._doubles.pop()
+
+    def _return_unused(self) -> None:
+        """Step the generator back over the doubles not yet served."""
+        self._run = 0
+        unused = len(self._doubles)
+        if not unused:
+            return
+        self._doubles = []
+        bits = self._gen.bit_generator
+        kept = bits.state
+        bits.advance(-unused)
+        if kept["has_uint32"]:  # advance() drops the half of a 64-bit output pick() left
+            state = bits.state
+            state["has_uint32"], state["uinteger"] = kept["has_uint32"], kept["uinteger"]
+            bits.state = state
+
     def random(self) -> float:
-        return float(self._gen.random())
+        if self._doubles:
+            return self._doubles.pop()
+        run = self._run
+        if run < _SCALAR_RUN:  # _refill's first branch inlined, so short runs cost no extra call
+            self._run = run + 1
+            return (self._raw() >> 11) * _DOUBLE_STEP
+        return self._refill()
+
+    def random_array(self, n: int) -> np.ndarray:
+        """The next ``n`` draws of :meth:`random`, as one float64 array."""
+        self._return_unused()
+        return self._gen.random(n)
 
     def uniform(self, a: float, b: float) -> float:
-        return float(self._gen.uniform(a, b))
+        low, span = uniform_span(a, b)
+        doubles = self._doubles  # not via self.random(), which would count this draw twice
+        return low + span * (doubles.pop() if doubles else self._refill())
 
     def normal(self, mu: float, sigma: float) -> float:
+        self._return_unused()
         return float(self._gen.normal(mu, sigma))
 
-    def pick(self, values: list):
+    def pick(self, values: list | tuple):
+        self._return_unused()
         return values[int(self._gen.integers(0, len(values)))]
+
+
+def uniform_span(a: float, b: float) -> tuple[float, float]:
+    """``(low, high - low)`` for a uniform draw ``low + span * u``.
+
+    This is numpy's own formula and argument check, so ``uniform(a, b)``
+    from a draw ``u`` equals ``Generator.uniform(a, b)`` bit for bit.
+    """
+    low = float(a)
+    span = float(b) - low
+    if not math.isfinite(span):
+        raise OverflowError("high - low range exceeds valid bounds")
+    if span < 0:
+        raise ValueError("high - low < 0")
+    return low, span
 
 
 @dataclass(frozen=True)
@@ -129,7 +213,7 @@ class Distribution:
         if self.kind == "normal":
             return max(0.0, rng.normal(self.params[0], self.params[1]))
         if self.kind == "empirical":
-            return rng.pick(list(self.params[0]))
+            return rng.pick(self.params[0])
         raise InvalidDistribution(f"unknown distribution kind: {self.kind!r}")
 
     def sample_int(self, rng: SeededRng) -> int:

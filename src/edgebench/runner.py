@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .cloud import time_cloud_item
 from .config import ScenarioConfig
 from .core import Clock, EventLoop, Message, SeededRng, TimestampRecord, to_ms
@@ -23,6 +25,7 @@ from .workloads import run_item, synthesize_body
 
 DEVICE = "device-0"
 CLOUD_FUNCTION_SOURCE = "cloud-function"
+RESOURCE_CHUNK = 1024  # resource samples drawn per block; bounds the replay's memory
 
 
 @dataclass
@@ -168,16 +171,24 @@ def _replay_resources(config: ScenarioConfig, root: SeededRng, duration_ms: int)
     n = max(1, math.ceil(duration_ms / 1000))
     cpu_total = 0.0
     ram_total = 0.0
-    for _ in range(n):
-        cpu, ram = profile.sample(rng)
-        cpu_total += cpu
-        ram_total += ram
+    for start in range(0, n, RESOURCE_CHUNK):
+        cpu, ram = profile.sample(rng, min(RESOURCE_CHUNK, n - start))
+        cpu_total = _running_sum(cpu_total, cpu)
+        ram_total = _running_sum(ram_total, ram)
     return {
         "mode": "modeled",
         "cpu_pct_mean": cpu_total / n,
         "ram_mb_mean": ram_total / n,
         "samples": n,
     }
+
+
+def _running_sum(total: float, values: np.ndarray) -> float:
+    """``total`` plus each value in turn, left to right like ``+=``.
+
+    ``np.sum`` adds pairwise, which rounds differently.
+    """
+    return float(np.add.accumulate(np.concatenate(([total], values)))[-1])
 
 
 def write_artifacts(result: RunResult, out_dir: str | Path, charts: bool = True) -> dict[str, Path]:

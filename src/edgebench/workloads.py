@@ -11,7 +11,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import Distribution, Message, SeededRng, SimulationError, constant
+import numpy as np
+
+from .core import Distribution, Message, SeededRng, SimulationError, constant, uniform_span
 
 WORKLOAD_KINDS = ("scalar", "image", "audio", "custom")
 
@@ -83,9 +85,28 @@ class ResourceProfile:
     platform_ram_delta_mb: float = 0.0
     cores: int = 4
 
-    def sample(self, rng: SeededRng) -> tuple[float, float]:
-        cpu = min(max(self.cpu_pct.sample(rng), 0.0), 100.0 * self.cores)
-        ram = max(self.ram_mb.sample(rng), 0.0) + self.platform_ram_delta_mb
+    def sample(self, rng: SeededRng, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """``n`` successive (cpu, ram) samples as two float64 arrays.
+
+        Each sample draws cpu then ram; cpu is clamped to
+        [0, 100 * cores], ram at zero before the platform delta is added.
+        Constant and uniform kinds are drawn as one block, equal value
+        for value to ``n`` single draws; other kinds are drawn one sample
+        at a time.
+        """
+        dists = (self.cpu_pct, self.ram_mb)
+        if all(d.kind in ("constant", "uniform") for d in dists):
+            spans = [uniform_span(*d.params) for d in dists if d.kind == "uniform"]
+            # row i holds sample i's uniform draws, cpu's first, as single draws take them
+            draws = rng.random_array(n * len(spans)).reshape(n, len(spans)).T
+            columns = iter(low + span * u for (low, span), u in zip(spans, draws))
+            cpu, ram = (next(columns) if d.kind == "uniform" else np.full(n, float(d.params[0]))
+                        for d in dists)
+        else:
+            cpu, ram = np.array([[d.sample(rng) for d in dists] for _ in range(n)],
+                                dtype=float).reshape(n, 2).T
+        cpu = np.minimum(np.maximum(cpu, 0.0), 100.0 * self.cores)
+        ram = np.maximum(ram, 0.0) + self.platform_ram_delta_mb
         return cpu, ram
 
 

@@ -111,6 +111,15 @@ workload: {kind: custom, items: 1}
         with pytest.raises(ParseError, match="cloud_function"):
             load_config(path)
 
+    def test_cloud_rejects_link_drops(self, tmp_path):
+        # the cloud pipeline does not model drops, so the field must not be ignored
+        path = write_config(tmp_path, """
+extends: scenarios/aws-cloud-image
+link: {drop_probability: 0.5}
+""")
+        with pytest.raises(ParseError, match="link.drop_probability"):
+            load_config(path)
+
     def test_items_required(self, tmp_path):
         path = write_config(tmp_path, """
 pipeline: edge

@@ -1,10 +1,16 @@
 """Clock, RNG, and distribution behavior."""
 
+import dataclasses
+import math
+import random
+
 import numpy as np
 import pytest
 
+from edgebench.config import list_fixtures, load_fixture
 from edgebench.core import (
     Clock,
+    Distribution,
     EventLoop,
     InvalidDistribution,
     Message,
@@ -69,6 +75,100 @@ class TestSeededRng:
     def test_substream_differs_from_root(self):
         root = SeededRng(5)
         assert root.substream("hub").random() != SeededRng(5).random()
+
+
+def unbuffered(seed, name=""):
+    """A plain numpy Generator seeded the way SeededRng(seed).substream(name) is."""
+    entropy = (seed & (2**64 - 1),) + tuple(name.encode("utf-8"))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
+def reference_draw(gen, op, args):
+    if op == "pick":
+        (values,) = args
+        return values[int(gen.integers(0, len(values)))]
+    return float(getattr(gen, op)(*args))
+
+
+DRAW_ARGS = {"random": (), "uniform": (-3.0, 41.5), "normal": (100.0, 15.0),
+             "pick": ((2, 3, 5, 7, 11),)}
+
+
+def shipped_uniform_params():
+    """(a, b) of every uniform distribution in the shipped scenario fixtures."""
+    pairs = set()
+
+    def walk(obj):
+        if isinstance(obj, Distribution):
+            if obj.kind == "uniform":
+                pairs.add(obj.params)
+        elif dataclasses.is_dataclass(obj):
+            for f in dataclasses.fields(obj):
+                walk(getattr(obj, f.name))
+
+    for name in list_fixtures("scenarios"):
+        walk(load_fixture(name))
+    return sorted(pairs)
+
+
+class TestSeededRngMatchesUnbufferedNumpy:
+    """Block-served draws equal the same calls on a plain numpy Generator."""
+
+    @pytest.mark.parametrize("seed, name", [(0, ""), (7, "workload"), (-3, "link"), (2**70, "hub")])
+    def test_random_mixed_sequences(self, seed, name):
+        plan = random.Random(seed)
+        rng = SeededRng(seed).substream(name) if name else SeededRng(seed)
+        gen = unbuffered(seed, name)
+        for _ in range(80):
+            op = plan.choice(sorted(DRAW_ARGS))
+            # runs of doubles end before, at and just after the switch to
+            # blocks (64) and block boundaries, leaving blocks part used
+            long_runs = op in ("random", "uniform")
+            run = (plan.choice([1, 2, 3, 5, 63, 64, 65, 80, 81, 1023, 2500, 6000]) if long_runs
+                   else plan.randint(1, 4))
+            for _ in range(run):
+                assert getattr(rng, op)(*DRAW_ARGS[op]) == reference_draw(gen, op, DRAW_ARGS[op])
+
+    @pytest.mark.parametrize("doubles", [1, 2, 3, 4, 65, 1000])
+    def test_pick_then_doubles_then_pick(self, doubles):
+        # pick uses half of a 64-bit output; stepping back over unused
+        # doubles must keep the other half for the next pick
+        rng, gen = SeededRng(11), unbuffered(11)
+        values = tuple(range(10))
+        for _ in range(5):
+            assert rng.pick(values) == reference_draw(gen, "pick", (values,))
+            for _ in range(doubles):
+                assert rng.random() == float(gen.random())
+            assert rng.pick(values) == reference_draw(gen, "pick", (values,))
+
+    def test_random_array_continues_the_stream(self):
+        rng, gen = SeededRng(5).substream("resources"), unbuffered(5, "resources")
+        for n in (3, 1024, 0, 1):
+            assert [rng.random() for _ in range(n)] == [float(gen.random()) for _ in range(n)]
+            assert rng.random_array(n).tolist() == gen.random(n).tolist()
+            assert rng.uniform(1, 2) == float(gen.uniform(1, 2))
+
+    @pytest.mark.parametrize("a, b", shipped_uniform_params())
+    def test_uniform_of_every_shipped_fixture_pair(self, a, b):
+        rng, gen = SeededRng(29), unbuffered(29)
+        for _ in range(3000):
+            assert rng.uniform(a, b) == float(gen.uniform(a, b))
+
+    @pytest.mark.parametrize("a, b, error", [
+        (0.0, math.inf, OverflowError),
+        (-math.inf, 0.0, OverflowError),
+        (math.nan, 1.0, OverflowError),
+        (-1.7e308, 1.7e308, OverflowError),  # finite bounds, overflowing range
+        (5.0, 1.0, ValueError),
+    ])
+    def test_bad_range_raises_like_numpy(self, a, b, error):
+        with pytest.raises(error):
+            unbuffered(1).uniform(a, b)
+        rng = SeededRng(1)
+        rng.random()
+        with pytest.raises(error):
+            rng.uniform(a, b)
+        assert rng.random() == float(unbuffered(1).random(2)[1])  # nothing was drawn
 
 
 class TestDistributions:

@@ -5,8 +5,9 @@ import json
 import pytest
 
 from edgebench.config import ScenarioConfig, load_fixture
+from edgebench.core import SeededRng
 from edgebench.metrics import report_to_json, rows_to_csv
-from edgebench.runner import run_scenario, write_artifacts
+from edgebench.runner import RESOURCE_CHUNK, _replay_resources, run_scenario, write_artifacts
 
 
 def run_fixture(name, **overrides):
@@ -154,6 +155,21 @@ class TestReports:
         assert result.report.resources["mode"] == "modeled"
         assert result.report.resources["cpu_pct_mean"] == pytest.approx(35)
         assert result.report.resources["ram_mb_mean"] == pytest.approx(145)
+
+    @pytest.mark.parametrize("samples", [1, RESOURCE_CHUNK, 3 * RESOURCE_CHUNK + 7])
+    def test_resource_means_equal_sequential_sums(self, samples):
+        config = load_fixture("scenarios/acceptance-10k")  # uniform cpu and ram
+        profile = config.resources
+        rng = SeededRng(config.seed).substream("resources")
+        cpu_total = ram_total = 0.0
+        for _ in range(samples):
+            cpu = min(max(profile.cpu_pct.sample(rng), 0.0), 100.0 * profile.cores)
+            cpu_total += cpu
+            ram_total += max(profile.ram_mb.sample(rng), 0.0) + profile.platform_ram_delta_mb
+        replayed = _replay_resources(config, SeededRng(config.seed), samples * 1000)
+        assert replayed["samples"] == samples
+        assert replayed["cpu_pct_mean"] == cpu_total / samples
+        assert replayed["ram_mb_mean"] == ram_total / samples
 
     def test_azure_ram_delta_applied(self):
         result = run_fixture("azureedge-audio")

@@ -1,13 +1,16 @@
 """Workload driver behavior: scalar batching, per-item runs, totals."""
 
+import itertools
 import json
 
 import pytest
 
-from edgebench.core import Clock, SeededRng, constant, uniform
+from edgebench.core import Clock, SeededRng, constant, empirical, normal, uniform
+from edgebench.runner import RESOURCE_CHUNK
 from edgebench.workloads import (
     ExhaustedWorkload,
     InvalidRate,
+    ResourceProfile,
     WorkloadSpec,
     generate_scalar_batch,
     run_item,
@@ -126,3 +129,34 @@ class TestWorkloadTotals:
             WorkloadSpec(kind="scalar", items=1, scalar_freq_hz=0)
         with pytest.raises(ValueError):
             WorkloadSpec(kind="custom", items=1, warmup_delay_s=-1)
+
+
+# each kind can leave [0, 100 * cores] (cores = 2) and go below zero, so the clamps act
+RESOURCE_KINDS = {
+    "constant": constant(250),
+    "uniform": uniform(-60, 260.5),
+    "normal": normal(150, 120),
+    "empirical": empirical([-5, 10, 230.25, 99]),
+}
+
+
+def single_resource_sample(profile, rng):
+    """One (cpu, ram) sample, drawn and clamped one value at a time."""
+    cpu = min(max(profile.cpu_pct.sample(rng), 0.0), 100.0 * profile.cores)
+    ram = max(profile.ram_mb.sample(rng), 0.0) + profile.platform_ram_delta_mb
+    return cpu, ram
+
+
+class TestResourceProfile:
+    @pytest.mark.parametrize("cpu_kind, ram_kind", itertools.product(RESOURCE_KINDS, repeat=2))
+    def test_block_equals_single_samples(self, cpu_kind, ram_kind):
+        profile = ResourceProfile(cpu_pct=RESOURCE_KINDS[cpu_kind], ram_mb=RESOURCE_KINDS[ram_kind],
+                                  platform_ram_delta_mb=12.3, cores=2)
+        block_rng, single_rng = SeededRng(4).substream("resources"), SeededRng(4).substream("resources")
+        for n in (1, RESOURCE_CHUNK - 1, RESOURCE_CHUNK, RESOURCE_CHUNK + 1):
+            cpu, ram = profile.sample(block_rng, n)
+            expected = [single_resource_sample(profile, single_rng) for _ in range(n)]
+            assert cpu.tolist() == [c for c, _ in expected]
+            assert ram.tolist() == [r for _, r in expected]
+        if "constant" not in (cpu_kind, ram_kind):
+            assert 0.0 in cpu and 200.0 in cpu and 12.3 in ram
