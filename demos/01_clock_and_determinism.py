@@ -10,7 +10,7 @@ from edgebench import Clock, EventLoop, SeededRng, constant, normal, uniform
 
 # --- the virtual clock only moves forward, via events -------------------
 
-clock = Clock("virtual")
+clock = Clock()
 loop = EventLoop(clock)
 loop.schedule(250, lambda: print(f"  event at t={clock.now} ms"))
 loop.schedule(100, lambda: print(f"  event at t={clock.now} ms"))

@@ -7,7 +7,7 @@ reports latency decomposition, byte accounting, and monthly cost.
 """
 
 from .charts import emit_charts
-from .cloud import CloudFunctionProfile, cloud_bandwidth, run_cloud_item, time_cloud_item
+from .cloud import CloudFunctionProfile, time_cloud_item
 from .config import (
     ScenarioConfig,
     list_fixtures,
@@ -46,9 +46,7 @@ from .metrics import (
     IncompleteRecord,
     MetricRow,
     RunReport,
-    UnsupportedFormat,
     aggregate,
-    export,
     finalize_row,
     report_from_json,
     report_to_json,
@@ -63,9 +61,7 @@ from .workloads import (
     InvalidRate,
     ResourceProfile,
     WorkloadSpec,
-    generate_scalar_batch,
     run_item,
-    workload_totals,
 )
 
 __version__ = "0.1.0"
@@ -102,20 +98,16 @@ __all__ = [
     "SimulationError",
     "TimeRegression",
     "TimestampRecord",
-    "UnsupportedFormat",
     "UsageScenario",
     "WorkloadSpec",
     "aggregate",
-    "cloud_bandwidth",
     "cloud_monthly_cost",
     "constant",
     "cost_ratio",
     "edge_monthly_cost",
     "emit_charts",
     "empirical",
-    "export",
     "finalize_row",
-    "generate_scalar_batch",
     "ledger_report",
     "list_fixtures",
     "load_config",
@@ -127,11 +119,9 @@ __all__ = [
     "report_from_json",
     "report_to_json",
     "rows_to_csv",
-    "run_cloud_item",
     "run_item",
     "run_scenario",
     "time_cloud_item",
     "uniform",
-    "workload_totals",
     "write_artifacts",
 ]

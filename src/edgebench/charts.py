@@ -157,21 +157,3 @@ def emit_charts(reports: list[RunReport], out_dir: str | Path) -> list[Path]:
         path.write_text(svg, encoding="utf-8")
         written.append(path)
     return written
-
-
-def report_panel_svg(report: RunReport) -> str:
-    """Single-report panel: one bar per metric mean, per-metric scale."""
-    parts = [
-        '<svg xmlns="http://www.w3.org/2000/svg" width="640" '
-        f'height="{360 * len(METRIC_NAMES)}" font-family="Helvetica, Arial, sans-serif">'
-    ]
-    for i, metric in enumerate(METRIC_NAMES):
-        chart = grouped_bar_svg(
-            _TITLES.get(metric, metric),
-            [_workload_kind(report)],
-            [(_platform(report), {_workload_kind(report): report.aggregates[metric]["mean"]})],
-        )
-        inner = chart[chart.index(">") + 1:].rsplit("</svg>", 1)[0]
-        parts.append(f'<g transform="translate(0,{360 * i})">{inner}</g>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Distribution, SeededRng, TimestampRecord, constant
+from .core import Distribution, SeededRng, constant
 from .network import LinkModel
 from .workloads import WorkloadSpec
 
@@ -77,38 +77,3 @@ def time_cloud_item(
         exec_ms=profile.exec_ms.sample_ms(rng),
         write_ms=profile.result_write_ms.sample_ms(rng),
     )
-
-
-def run_cloud_item(
-    spec: WorkloadSpec,
-    profile: CloudFunctionProfile,
-    link: LinkModel,
-    clock,
-    rng: SeededRng,
-) -> TimestampRecord:
-    """One cloud item starting at the current clock time.
-
-    t1 is the upload start (edge clock, skew included), t2 the upload
-    completion that triggers the function, t3 the result blob creation.
-    Edge compute is zero, so e2e degenerates to t3 - t1.
-    """
-    input_bytes = spec.input_bytes_per_item.sample_int(rng)
-    timing = time_cloud_item(spec, profile, link, clock.now, input_bytes, rng)
-    return TimestampRecord(
-        t1=clock.edge_stamp(timing.upload_start),
-        t2=timing.t2,
-        t3=timing.t3,
-        c_edge=0,
-    )
-
-
-def cloud_bandwidth(spec: WorkloadSpec, link: LinkModel) -> float:
-    """Expected transmitted bytes for a cloud run of ``spec`` over ``link``.
-
-    Uploads carry input plus per-message overhead; the function's result
-    writes add the result payload. Exact for constant distributions and
-    equal to the run ledger total in that case.
-    """
-    uploads = spec.items * (spec.input_bytes_per_item.mean() + link.per_message_overhead_bytes)
-    results = spec.items * spec.result_payload_bytes.mean()
-    return uploads + results

@@ -1,4 +1,4 @@
-"""Shared domain types: virtual/wall clock, seeded RNG, distributions, messages.
+"""Shared domain types: virtual clock, seeded RNG, distributions, messages.
 
 All durations and timestamps are integer milliseconds. Sub-millisecond
 quantities are rounded half-to-even before entering the event queue.
@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,41 +36,37 @@ def to_ms(value: float) -> int:
 
 
 class Clock:
-    """Pipeline clock, virtual or wall.
+    """Virtual pipeline clock.
 
-    In virtual mode time advances only through :meth:`advance` and never
-    decreases. ``skew_edge_ms`` models imperfect clock sync: it offsets
-    timestamps written by edge-side components (T1) and nothing else, so
-    event ordering and byte accounting are skew-invariant.
+    Time advances only through :meth:`advance` and never decreases.
+    ``skew_edge_ms`` models imperfect clock sync: it offsets timestamps
+    written by edge-side components (T1) and nothing else, so event
+    ordering and byte accounting are skew-invariant.
     """
 
-    def __init__(self, mode: str = "virtual", skew_edge_ms: int = 0):
-        if mode not in ("virtual", "wall"):
-            raise ValueError(f"unknown clock mode: {mode!r}")
-        self.mode = mode
+    def __init__(self, skew_edge_ms: int = 0):
         self.skew_edge_ms = int(skew_edge_ms)
-        self._now = 0
-        self._wall_base_ns = time.monotonic_ns()
-
-    @property
-    def now(self) -> int:
-        if self.mode == "wall":
-            return (time.monotonic_ns() - self._wall_base_ns) // 1_000_000
-        return self._now
+        self.now = 0
 
     def advance(self, event_time: int) -> None:
         """Move virtual time forward to ``event_time``."""
-        if self.mode != "virtual":
-            raise SimulationError("advance() is only valid in virtual mode")
-        if event_time < self._now:
+        if event_time < self.now:
             raise TimeRegression(
-                f"event at {event_time} ms is before current time {self._now} ms"
+                f"event at {event_time} ms is before current time {self.now} ms"
             )
-        self._now = event_time
+        self.now = event_time
 
     def edge_stamp(self, true_time_ms: int) -> int:
         """Timestamp as written by an edge device (true instant plus skew)."""
         return true_time_ms + self.skew_edge_ms
+
+    def compute(self, c_edge_ms: int) -> int:
+        """Edge compute of ``c_edge_ms`` starting now; returns the ms it took.
+
+        Virtual compute takes exactly the drawn time and leaves the clock
+        where it is: the event loop moves it.
+        """
+        return c_edge_ms
 
 
 class SeededRng:

@@ -1,11 +1,14 @@
-"""Live-mode runner: wall clock, real threads, spin busy-work for compute.
+"""Live-mode runner: the runner's drivers on a wall clock with real threads.
 
-One device worker and one cloud-side worker, joined before reporting.
-Compute time is burned with a deadline spin loop (approximate, a few
-percent per item); link delays are modeled, not transmitted. Resource
-usage is sampled from the real process at 1 s cadence, so live reports
-carry measured CPU/RSS instead of replayed profiles. Live runs are
-excluded from the exact-determinism guarantees of virtual mode.
+The device's item chain runs on a thread of its own, the cloud side
+(arrivals, hub, result writes) on the calling thread; each thread runs
+its callbacks from a wall-clock loop as they fall due. Compute time is
+burned with a deadline spin loop (approximate, a few percent per item),
+or spent in the workload's ``item_hook``; link delays are modeled, not
+transmitted. Resource usage is sampled from the real process at 1 s
+cadence, so live reports carry measured CPU/RSS instead of replayed
+profiles. Live runs are excluded from the exact-determinism guarantees
+of virtual mode.
 """
 
 from __future__ import annotations
@@ -16,51 +19,45 @@ import time
 from pathlib import Path
 
 from .config import ScenarioConfig
-from .core import Message, SeededRng, TimestampRecord, to_ms
-from .hub import Hub
-from .metrics import aggregate, finalize_row
-from .network import DROPPED, ByteLedger, Link, ledger_report
-from .runner import CLOUD_FUNCTION_SOURCE, DEVICE, RunResult
-from .storage import BlobStore
-from .workloads import scalar_batch_body, synthesize_body
+from .runner import RunResult, finish_run, start_run
 
 
 class _WallClock:
-    def __init__(self):
+    """Milliseconds since the run began, with the interface of ``core.Clock``."""
+
+    def __init__(self, skew_edge_ms: int = 0):
+        self.skew_edge_ms = int(skew_edge_ms)
         self._base = time.monotonic_ns()
 
     @property
     def now(self) -> int:
         return (time.monotonic_ns() - self._base) // 1_000_000
 
-    def edge_stamp(self, true_time_ms: int, skew: int) -> int:
-        return true_time_ms + skew
+    def edge_stamp(self, true_time_ms: int) -> int:
+        return true_time_ms + self.skew_edge_ms
 
-    def sleep_until(self, at_ms: int) -> None:
-        delta = at_ms - self.now
-        if delta > 0:
-            time.sleep(delta / 1000)
-
-
-def _busy_ms(clock: _WallClock, duration_ms: int) -> int:
-    """Burn CPU until the deadline; returns actual elapsed ms."""
-    start = clock.now
-    deadline = start + duration_ms
-    acc = 0
-    while clock.now < deadline:
-        acc += 1  # keep the core busy rather than sleeping
-    return clock.now - start
+    def compute(self, c_edge_ms: int) -> int:
+        """Burn CPU until ``c_edge_ms`` have passed; returns the elapsed ms."""
+        start = self.now
+        deadline = start + c_edge_ms
+        while self.now < deadline:
+            pass  # keep the core busy rather than sleeping
+        return self.now - start
 
 
 class _WallLoop:
-    """Due-time callback queue processed by the cloud-side worker."""
+    """Due-time callback queue that one thread runs against the wall clock.
 
-    def __init__(self, clock: _WallClock):
+    Other threads may schedule onto it. ``stop`` is shared by every loop
+    of a run: setting it ends them all early, as when a thread fails.
+    """
+
+    def __init__(self, clock: _WallClock, stop: threading.Event):
         self.clock = clock
+        self.stop = stop
         self._heap: list = []
         self._cond = threading.Condition()
         self._seq = 0
-        self.producer_done = threading.Event()
 
     def schedule(self, at_ms: int, fn, priority: int = 0) -> None:
         with self._cond:
@@ -68,12 +65,17 @@ class _WallLoop:
             self._seq += 1
             self._cond.notify()
 
-    def drain(self) -> None:
-        while True:
+    def run(self, feeder: threading.Thread | None = None) -> int:
+        """Run callbacks as they fall due; returns the wall time at the end.
+
+        Ends when no callback is left and ``feeder``, a thread that
+        schedules onto this loop, has ended, or as soon as ``stop`` is set.
+        """
+        while not self.stop.is_set():
             with self._cond:
                 if not self._heap:
-                    if self.producer_done.is_set():
-                        return
+                    if feeder is None or not feeder.is_alive():
+                        break
                     self._cond.wait(0.02)
                     continue
                 due = self._heap[0][0]
@@ -81,8 +83,9 @@ class _WallLoop:
                 if due > now:
                     self._cond.wait(min((due - now) / 1000, 0.05))
                     continue
-                _, _, _, fn = heapq.heappop(self._heap)
+                fn = heapq.heappop(self._heap)[3]
             fn()
+        return self.clock.now
 
 
 class _ResourceSampler(threading.Thread):
@@ -118,163 +121,41 @@ class _ResourceSampler(threading.Thread):
 
 
 def run_live(config: ScenarioConfig, persist_blobs: str | Path | None = None) -> RunResult:
-    """Execute one scenario against the wall clock."""
-    clock = _WallClock()
-    loop = _WallLoop(clock)
-    root = SeededRng(config.seed if config.seed is not None else time.time_ns() & (2**63 - 1))
-    ledger = ByteLedger()
-    link = Link(config.link, ledger, root.substream("link"))
-    store = BlobStore(envelope_bytes=config.blob_envelope_bytes, persist_dir=persist_blobs)
-    records: dict[int, TimestampRecord] = {}
-    payloads: dict[int, int] = {}
-    dropped: set[int] = set()
-    skew = config.skew_edge_ms
+    """Execute one scenario against the wall clock.
 
-    sampler = _ResourceSampler()
-    sampler.start()
-
-    if config.pipeline == "edge":
-        hub = _attach_hub(config, loop, root, store, records)
-        target = _edge_device
-        args = (config, clock, loop, root, link, hub, records, payloads, dropped, skew)
-    else:
-        hub = None
-        target = _cloud_device
-        args = (config, clock, loop, root, link, store, records, payloads, skew)
-
+    A failure in either thread stops both; it is raised here once every
+    thread the run started has ended.
+    """
+    clock = _WallClock(config.skew_edge_ms)
+    stop = threading.Event()
+    loop = _WallLoop(clock, stop)
+    device_loop = _WallLoop(clock, stop)
+    seed = config.seed if config.seed is not None else time.time_ns() & (2**63 - 1)
+    run = start_run(config, clock, loop, device_loop, seed, persist_blobs)
     failures: list[BaseException] = []
 
-    def guarded_device():
+    def device():
         try:
-            target(*args)
-        except BaseException as exc:  # unblock drain() instead of hanging
+            device_loop.run()
+        except BaseException as exc:  # re-raised on the calling thread below
             failures.append(exc)
-        finally:
-            loop.producer_done.set()
+            stop.set()
 
-    device = threading.Thread(target=guarded_device)
-    device.start()
-    loop.drain()
-    device.join()
-    if hub is not None and hub.flush_open(clock.now):
-        loop.drain()  # chunk-only routes: write the tail batch
-    sampler.stop.set()
-    sampler.join(timeout=2)
+    device_thread = threading.Thread(target=device, name="edgebench-device")
+    sampler = _ResourceSampler()
+    sampler.start()
+    device_thread.start()
+    try:
+        loop.run(feeder=device_thread)
+        if not failures and run.hub is not None and run.hub.flush_open(clock.now):
+            loop.run()  # chunk-only routes: write the tail batch
+    except BaseException:
+        stop.set()  # end the device thread too
+        raise
+    finally:
+        device_thread.join()
+        sampler.stop.set()
+        sampler.join()
     if failures:
         raise failures[0]
-
-    duration_ms = clock.now
-    rows = [
-        finalize_row(ts, payloads[mid], mid)
-        for mid, ts in sorted(records.items())
-        if mid not in dropped and ts.complete()
-    ]
-    report = aggregate(
-        rows,
-        label=config.label,
-        pipeline=config.pipeline,
-        seed=config.seed if config.seed is not None else 0,
-        config=config.to_dict(),
-        ledger=ledger_report(ledger),
-        resources=sampler.summary(),
-        blob_count=len(store),
-        dropped_count=len(dropped),
-        duration_ms=duration_ms,
-    )
-    return RunResult(report=report, rows=rows, store=store, records=records)
-
-
-def _attach_hub(config, loop, root, store, records) -> Hub:
-    def on_blob(messages, created_at):
-        t2_by_id = {m.id: records[m.id].t2 for m in messages}
-        name = store.next_name(config.route, messages)
-        store.create_blob(name, messages, created_at, t2_by_id)
-        for m in messages:
-            records[m.id].t3 = created_at
-
-    return Hub(config.hub, loop, root.substream("hub"), on_blob)
-
-
-def _edge_device(config, clock, loop, root, link, hub, records, payloads, dropped, skew):
-    spec = config.workload
-    rng = root.substream("workload")
-    clock.sleep_until(round(spec.warmup_delay_s * 1000))
-    for idx in range(spec.items):
-        target_c = spec.compute_ms.sample_ms(rng)
-        if spec.item_hook is not None:
-            start = clock.now
-            body = spec.item_hook(idx)
-            c_edge = clock.now - start
-            payload = len(body.encode("utf-8"))
-        else:
-            c_edge = _busy_ms(clock, target_c)
-            if spec.kind == "scalar":
-                body = scalar_batch_body(spec.scalar_freq_hz, spec.scalar_interval_s, rng)
-                payload = len(body.encode("utf-8"))
-            else:
-                payload = spec.result_payload_bytes.sample_int(rng)
-                body = synthesize_body(DEVICE, idx, payload)
-        msg = Message(id=idx, source=DEVICE, payload_bytes=payload, overhead_bytes=0, body=body)
-        send_time = clock.now
-        msg.stamp_t1(send_time + skew)
-        records[idx] = TimestampRecord(t1=msg.t1, c_edge=c_edge)
-        payloads[idx] = payload
-        arrival = link.deliver(DEVICE, payload, send_time)
-        if arrival is DROPPED:
-            dropped.add(idx)
-        else:
-            loop.schedule(arrival, _ingest_fn(hub, records, msg), priority=0)
-        if idx + 1 < spec.items:
-            clock.sleep_until(send_time + spec.gap_ms(rng))
-
-
-def _ingest_fn(hub, records, msg):
-    def ingest():
-        arrival = hub.loop.clock.now
-        records[msg.id].t2 = arrival
-        hub.ingest(msg, arrival)
-
-    return ingest
-
-
-def _cloud_device(config, clock, loop, root, link, store, records, payloads, skew):
-    spec = config.workload
-    profile = config.cloud_function
-    wl_rng = root.substream("workload")
-    cloud_rng = root.substream("cloud")
-    clock.sleep_until(round(spec.warmup_delay_s * 1000))
-    for idx in range(spec.items):
-        input_bytes = spec.input_bytes_per_item.sample_int(wl_rng)
-        result_bytes = spec.result_payload_bytes.sample_int(wl_rng)
-        upload_start = clock.now
-        records[idx] = TimestampRecord(t1=upload_start + skew, c_edge=0)
-        payloads[idx] = result_bytes
-        upload_ms = config.link.propagation_ms.sample_ms(cloud_rng)
-        upload_ms += config.link.serialization_ms(
-            input_bytes + config.link.per_message_overhead_bytes
-        )
-        clock.sleep_until(upload_start + upload_ms)
-        link.ledger.record(DEVICE, input_bytes, config.link.per_message_overhead_bytes)
-        records[idx].t2 = clock.now
-        fn_ms = (profile.trigger_overhead_ms.sample_ms(cloud_rng)
-                 + profile.exec_ms.sample_ms(cloud_rng)
-                 + profile.result_write_ms.sample_ms(cloud_rng))
-        loop.schedule(clock.now, _cloud_fn(config, clock, link, store, records, idx,
-                                           result_bytes, fn_ms), priority=0)
-        if idx + 1 < spec.items:
-            gap_ms = to_ms(profile.inter_upload_gap_s.sample(cloud_rng) * 1000)
-            clock.sleep_until(clock.now + gap_ms)
-
-
-def _cloud_fn(config, clock, link, store, records, idx, result_bytes, fn_ms):
-    def invoke():
-        clock.sleep_until(clock.now + fn_ms)  # one in-flight invocation at a time
-        link.ledger.record(CLOUD_FUNCTION_SOURCE, result_bytes, 0)
-        msg = Message(id=idx, source=DEVICE, payload_bytes=result_bytes, overhead_bytes=0,
-                      body=synthesize_body(DEVICE, idx, result_bytes))
-        msg.stamp_t1(records[idx].t1)
-        name = store.next_name(config.route, [msg])
-        store.create_blob(name, [msg], clock.now, {idx: records[idx].t2})
-        records[idx].t3 = clock.now
-
-    return invoke
+    return finish_run(run, clock.now, sampler.summary())

@@ -31,10 +31,6 @@ class EmptyRun(SimulationError):
     pass
 
 
-class UnsupportedFormat(SimulationError, ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class MetricRow:
     id: int
@@ -208,18 +204,3 @@ def report_from_json(data: bytes | str) -> RunReport:
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     return RunReport.from_dict(json.loads(data))
-
-
-def export(report: RunReport, fmt: str, rows: list[MetricRow] | None = None) -> bytes:
-    """Serialize a report as ``csv``, ``json``, or ``svg-chart``."""
-    if fmt == "json":
-        return report_to_json(report)
-    if fmt == "csv":
-        if rows is None:
-            raise UnsupportedFormat("csv export needs the metric rows")
-        return rows_to_csv(rows)
-    if fmt == "svg-chart":
-        from .charts import report_panel_svg
-
-        return report_panel_svg(report).encode("utf-8")
-    raise UnsupportedFormat(f"unsupported export format: {fmt!r}")

@@ -1,15 +1,19 @@
-"""Virtual-mode scenario orchestration: one event loop, end-to-end.
+"""Scenario orchestration: one edge driver and one cloud driver for both clocks.
 
-Wires the workload driver, link, hub (or cloud function), and blob store
-together over the virtual clock, then aggregates metric rows into a
-RunReport. Identical seed and config produce identical results,
-field-for-field and byte-for-byte.
+The drivers wire the workload, link, hub (or cloud function) and blob
+store together over a clock and event loops. Virtual mode runs them on
+``Clock`` and one ``EventLoop``; live mode (``live.py``) runs them on a
+wall clock, with the device's item chain on a thread of its own. Both
+end in the same step, which turns every delivered message into a metric
+row and aggregates the rows into a RunReport. In virtual mode identical
+seed and config produce identical results, field-for-field and
+byte-for-byte.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,61 +40,91 @@ class RunResult:
     records: dict[int, TimestampRecord]
 
 
+@dataclass
+class Run:
+    """What a run's drivers write and :func:`finish_run` reads."""
+
+    config: ScenarioConfig
+    root: SeededRng
+    link: Link
+    store: BlobStore
+    hub: Hub | None = None
+    records: dict[int, TimestampRecord] = field(default_factory=dict)
+    payloads: dict[int, int] = field(default_factory=dict)
+    dropped: set[int] = field(default_factory=set)
+
+
 def run_scenario(config: ScenarioConfig, persist_blobs: str | Path | None = None) -> RunResult:
-    """Execute one scenario in virtual time and aggregate its report."""
+    """Execute one scenario, in virtual time unless its mode is live, and aggregate its report."""
     if config.mode != "virtual":
         from .live import run_live
 
         return run_live(config, persist_blobs=persist_blobs)
     if config.seed is None:
         raise ValueError("virtual mode requires a seed")
+    if config.workload.item_hook is not None:
+        raise ValueError("workload.item_hook does real work, which needs live mode")
 
-    clock = Clock("virtual", skew_edge_ms=config.skew_edge_ms)
+    clock = Clock(skew_edge_ms=config.skew_edge_ms)
     loop = EventLoop(clock)
-    root = SeededRng(config.seed)
-    ledger = ByteLedger()
-    link = Link(config.link, ledger, root.substream("link"))
-    store = BlobStore(envelope_bytes=config.blob_envelope_bytes, persist_dir=persist_blobs)
-
-    records: dict[int, TimestampRecord] = {}
-    payloads: dict[int, int] = {}
-    dropped: set[int] = set()
-
-    if config.pipeline == "edge":
-        hub = _drive_edge(config, clock, loop, root, link, store, records, payloads, dropped)
-    else:
-        hub = None
-        _drive_cloud(config, clock, loop, root, link, store, records, payloads, dropped)
-
+    run = start_run(config, clock, loop, loop, config.seed, persist_blobs)
     duration_ms = loop.run()
-    if hub is not None and hub.flush_open(clock.now):
+    if run.hub is not None and run.hub.flush_open(clock.now):
         duration_ms = loop.run()  # chunk-only routes: write the tail batch
+    return finish_run(run, duration_ms, _replay_resources(config, run.root, duration_ms))
 
+
+def start_run(config: ScenarioConfig, clock, loop, device_loop, seed: int,
+              persist_blobs: str | Path | None) -> Run:
+    """Set up a run and schedule its first item on ``device_loop``.
+
+    ``device_loop`` runs the device's item chain (compute, send, next
+    item); ``loop`` runs the cloud side (arrivals, hub, uploads, result
+    writes). Both have ``schedule``; ``clock`` has ``now``,
+    ``edge_stamp`` and ``compute``. Virtual mode passes one EventLoop as
+    both loops.
+    """
+    root = SeededRng(seed)
+    link = Link(config.link, ByteLedger(), root.substream("link"))
+    store = BlobStore(envelope_bytes=config.blob_envelope_bytes, persist_dir=persist_blobs)
+    run = Run(config, root, link, store)
+    drive = _drive_edge if config.pipeline == "edge" else _drive_cloud
+    drive(run, clock, loop, device_loop)
+    return run
+
+
+def finish_run(run: Run, duration_ms: int, resources: dict | None) -> RunResult:
+    """Metric rows of every delivered message, aggregated into the report.
+
+    A delivered message that misses a timestamp raises IncompleteRecord,
+    so a run never hides a lost message.
+    """
+    config = run.config
     rows = [
-        finalize_row(ts, payloads[mid], mid)
-        for mid, ts in sorted(records.items())
-        if mid not in dropped
+        finalize_row(ts, run.payloads[mid], mid)
+        for mid, ts in sorted(run.records.items())
+        if mid not in run.dropped
     ]
-    resources = _replay_resources(config, root, duration_ms)
     report = aggregate(
         rows,
         label=config.label,
         pipeline=config.pipeline,
-        seed=config.seed,
+        seed=config.seed if config.seed is not None else 0,
         config=config.to_dict(),
-        ledger=ledger_report(ledger),
+        ledger=ledger_report(run.link.ledger),
         resources=resources,
-        blob_count=len(store),
-        dropped_count=len(dropped),
+        blob_count=len(run.store),
+        dropped_count=len(run.dropped),
         duration_ms=duration_ms,
     )
-    return RunResult(report=report, rows=rows, store=store, records=records)
+    return RunResult(report=report, rows=rows, store=run.store, records=run.records)
 
 
-def _drive_edge(config, clock, loop, root, link, store, records, payloads, dropped) -> None:
+def _drive_edge(run: Run, clock, loop, device_loop) -> None:
+    config = run.config
     spec = config.workload
-    wl_rng = root.substream("workload")
-    hub_rng = root.substream("hub")
+    wl_rng = run.root.substream("workload")
+    link, store, records, payloads, dropped = run.link, run.store, run.records, run.payloads, run.dropped
 
     def on_blob(messages, created_at):
         t2_by_id = {m.id: records[m.id].t2 for m in messages}
@@ -99,13 +133,13 @@ def _drive_edge(config, clock, loop, root, link, store, records, payloads, dropp
         for m in messages:
             records[m.id].t3 = created_at
 
-    hub = Hub(config.hub, loop, hub_rng, on_blob)
+    hub = run.hub = Hub(config.hub, loop, run.root.substream("hub"), on_blob)
 
     def start_item(idx):
         record, msg = run_item(spec, idx, clock, wl_rng, source=DEVICE)
         records[msg.id] = TimestampRecord(t1=msg.t1, c_edge=record.c_edge_ms)
         payloads[msg.id] = msg.payload_bytes
-        send_time = clock.now + record.c_edge_ms  # true instant, skew-free
+        send_time = msg.t1 - clock.skew_edge_ms  # true instant: the edge stamp without skew
 
         def emit(m=msg, st=send_time):
             arrival = link.deliver(m.source, m.payload_bytes, st)
@@ -114,52 +148,55 @@ def _drive_edge(config, clock, loop, root, link, store, records, payloads, dropp
                 return
             loop.schedule(arrival, lambda: _arrive(m, arrival), priority=0)
 
-        loop.schedule(send_time, emit, priority=0)
+        device_loop.schedule(send_time, emit, priority=0)
         if idx + 1 < spec.items:
             gap = spec.gap_ms(wl_rng)
-            loop.schedule(send_time + gap, lambda i=idx + 1: start_item(i), priority=0)
+            device_loop.schedule(send_time + gap, lambda i=idx + 1: start_item(i), priority=0)
 
     def _arrive(msg, arrival):
         records[msg.id].t2 = arrival
         hub.ingest(msg, arrival)
 
-    loop.schedule(round(spec.warmup_delay_s * 1000), lambda: start_item(0), priority=0)
-    return hub
+    device_loop.schedule(round(spec.warmup_delay_s * 1000), lambda: start_item(0), priority=0)
 
 
-def _drive_cloud(config, clock, loop, root, link, store, records, payloads, dropped) -> None:
+def _drive_cloud(run: Run, clock, loop, device_loop) -> None:
+    config = run.config
     spec = config.workload
     profile = config.cloud_function
-    wl_rng = root.substream("workload")
-    cloud_rng = root.substream("cloud")
+    wl_rng = run.root.substream("workload")
+    cloud_rng = run.root.substream("cloud")
+    ledger, store, records, payloads = run.link.ledger, run.store, run.records, run.payloads
 
     def start_upload(idx):
         input_bytes = spec.input_bytes_per_item.sample_int(wl_rng)
         result_bytes = spec.result_payload_bytes.sample_int(wl_rng)
-        timing = time_cloud_item(spec, profile, config.link, clock.now, input_bytes, cloud_rng)
-        records[idx] = TimestampRecord(t1=clock.edge_stamp(clock.now), c_edge=0)
+        upload_start = clock.now
+        timing = time_cloud_item(spec, profile, config.link, upload_start, input_bytes, cloud_rng)
+        t2, t3 = timing.t2, timing.t3
+        records[idx] = TimestampRecord(t1=clock.edge_stamp(upload_start), c_edge=0)
         payloads[idx] = result_bytes
 
         def upload_done(i=idx):
-            link.ledger.record(DEVICE, input_bytes, config.link.per_message_overhead_bytes)
-            records[i].t2 = clock.now
+            ledger.record(DEVICE, input_bytes, config.link.per_message_overhead_bytes)
+            records[i].t2 = t2
 
         def write_result(i=idx, rb=result_bytes):
-            link.ledger.record(CLOUD_FUNCTION_SOURCE, rb, 0)
+            ledger.record(CLOUD_FUNCTION_SOURCE, rb, 0)
             msg = Message(id=i, source=DEVICE, payload_bytes=rb, overhead_bytes=0,
                           body=synthesize_body(DEVICE, i, rb))
             msg.stamp_t1(records[i].t1)
             name = store.next_name(config.route, [msg])
-            store.create_blob(name, [msg], clock.now, {i: records[i].t2})
-            records[i].t3 = clock.now
+            store.create_blob(name, [msg], t3, {i: t2})
+            records[i].t3 = t3
 
-        loop.schedule(timing.t2, upload_done, priority=0)
-        loop.schedule(timing.t3, write_result, priority=2)
+        loop.schedule(t2, upload_done, priority=0)
+        loop.schedule(t3, write_result, priority=2)
         if idx + 1 < spec.items:
             gap_ms = to_ms(profile.inter_upload_gap_s.sample(cloud_rng) * 1000)
-            loop.schedule(timing.t2 + gap_ms, lambda i=idx + 1: start_upload(i), priority=0)
+            device_loop.schedule(t2 + gap_ms, lambda i=idx + 1: start_upload(i), priority=0)
 
-    loop.schedule(round(spec.warmup_delay_s * 1000), lambda: start_upload(0), priority=0)
+    device_loop.schedule(round(spec.warmup_delay_s * 1000), lambda: start_upload(0), priority=0)
 
 
 def _replay_resources(config: ScenarioConfig, root: SeededRng, duration_ms: int) -> dict | None:

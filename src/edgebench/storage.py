@@ -32,7 +32,6 @@ class BlobStore:
         self.envelope_bytes = envelope_bytes
         self.persist_dir = Path(persist_dir) if persist_dir else None
         self._blobs: dict[str, BlobRecord] = {}
-        self._contents: dict[str, list[Message]] = {}
         self._flush_ordinal = 0
 
     def next_name(self, route: str, messages: list[Message]) -> str:
@@ -58,7 +57,6 @@ class BlobStore:
             size_bytes=size,
         )
         self._blobs[name] = record
-        self._contents[name] = list(contents)
         if self.persist_dir is not None:
             self._mirror(record, contents, t2_by_id or {})
         return record
@@ -81,9 +79,6 @@ class BlobStore:
         records = [r for name, r in self._blobs.items() if name.startswith(prefix)]
         records.sort(key=lambda r: (r.created_at, r.name))
         return records
-
-    def messages_in(self, name: str) -> list[Message]:
-        return list(self._contents[name])
 
     def all_message_ids(self) -> list[int]:
         ids = []

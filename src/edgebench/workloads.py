@@ -33,6 +33,9 @@ class WorkloadSpec:
     ``items`` is the number of messages a run emits (for scalar, the
     number of batch messages). ``warmup_delay_s`` delays the first item
     so startup network noise is excluded from byte accounting.
+    ``item_hook`` (live mode only) does an item's real work in place of
+    the modeled compute time and payload: it is called with the item
+    index and returns the result text.
     """
 
     kind: str = "custom"
@@ -121,26 +124,6 @@ def scalar_batch_body(freq_hz: float, interval_s: float, rng: SeededRng) -> str:
     return json.dumps(values, separators=(",", ":"))
 
 
-def generate_scalar_batch(
-    freq_hz: float,
-    interval_s: float,
-    rng: SeededRng,
-    *,
-    source: str = "device-0",
-    msg_id: int = 0,
-    overhead_bytes: int = 0,
-) -> Message:
-    """Build one scalar batch message; empty batches are still emitted."""
-    body = scalar_batch_body(freq_hz, interval_s, rng)
-    return Message(
-        id=msg_id,
-        source=source,
-        payload_bytes=len(body.encode("utf-8")),
-        overhead_bytes=overhead_bytes,
-        body=body,
-    )
-
-
 def synthesize_body(source: str, msg_id: int, payload_bytes: int) -> str:
     """Deterministic placeholder result text of exactly payload_bytes bytes."""
     stem = f"result {source}/{msg_id} "
@@ -159,37 +142,33 @@ def run_item(
     *,
     source: str = "device-0",
 ) -> tuple[ComputeRecord, Message]:
-    """Process one workload item at the current clock time.
+    """Process one workload item starting at the current clock time.
 
-    Items run sequentially: the returned message carries
-    t1 = clock.now + c_edge + skew, the instant the edge finishes
-    computing and stamps the send timestamp.
+    The drawn compute time is spent through ``clock.compute`` (a virtual
+    clock takes it as drawn, a wall clock busy-waits it), or, when the
+    spec has an ``item_hook``, the hook does the item's real work and its
+    result text is the message body. Items run sequentially: the message
+    carries t1 = edge_stamp(start + c_edge), the instant the edge
+    finishes computing and stamps the send timestamp.
     """
     if idx >= spec.items:
         raise ExhaustedWorkload(f"item {idx} out of range (items={spec.items})")
+    start = clock.now
     c_edge = spec.compute_ms.sample_ms(rng)
     input_bytes = spec.input_bytes_per_item.sample_int(rng)
-    if spec.kind == "scalar":
-        body = scalar_batch_body(spec.scalar_freq_hz, spec.scalar_interval_s, rng)
+    if spec.item_hook is not None:
+        body = spec.item_hook(idx)
+        c_edge = clock.now - start
         payload = len(body.encode("utf-8"))
     else:
-        payload = spec.result_payload_bytes.sample_int(rng)
-        body = synthesize_body(source, idx, payload)
+        c_edge = clock.compute(c_edge)
+        if spec.kind == "scalar":
+            body = scalar_batch_body(spec.scalar_freq_hz, spec.scalar_interval_s, rng)
+            payload = len(body.encode("utf-8"))
+        else:
+            payload = spec.result_payload_bytes.sample_int(rng)
+            body = synthesize_body(source, idx, payload)
     msg = Message(id=idx, source=source, payload_bytes=payload, overhead_bytes=0, body=body)
-    msg.stamp_t1(clock.edge_stamp(clock.now + c_edge))
+    msg.stamp_t1(clock.edge_stamp(start + c_edge))
     record = ComputeRecord(idx, c_edge, payload, input_bytes)
     return record, msg
-
-
-def workload_totals(spec: WorkloadSpec) -> tuple[float, float]:
-    """(total input bytes, total result payload bytes) as expectations.
-
-    Exact for constant distributions; scalar workloads use their
-    calibrated result_payload_bytes estimate because serialized batch
-    length varies per message.
-    """
-    if spec.items == 0:
-        return (0.0, 0.0)
-    total_input = spec.items * spec.input_bytes_per_item.mean()
-    total_payload = spec.items * spec.result_payload_bytes.mean()
-    return (total_input, total_payload)

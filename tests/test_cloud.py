@@ -1,8 +1,10 @@
 """Cloud-only pipeline: timing decomposition and bandwidth accounting."""
 
-from edgebench.cloud import CloudFunctionProfile, cloud_bandwidth, run_cloud_item, time_cloud_item
-from edgebench.core import Clock, SeededRng, constant
+from edgebench.cloud import CloudFunctionProfile, time_cloud_item
+from edgebench.config import ScenarioConfig, load_fixture
+from edgebench.core import SeededRng, constant
 from edgebench.network import LinkModel
+from edgebench.runner import run_scenario
 from edgebench.workloads import WorkloadSpec
 
 
@@ -37,38 +39,33 @@ class TestTiming:
                                  upload_start=0, input_bytes=0, rng=SeededRng(0))
         assert timing.exec_ms == 5570
 
-    def test_run_cloud_item_record(self):
-        clock = Clock("virtual", skew_edge_ms=30)
-        clock.advance(500)
-        link = LinkModel(propagation_ms=constant(10))
-        spec = WorkloadSpec(items=1, input_bytes_per_item=constant(1000))
-        record = run_cloud_item(spec, profile(200, 1500, 25), link, clock, SeededRng(0))
-        assert record.c_edge == 0
-        assert record.t1 == 530  # upload start plus edge skew
-        assert record.t2 == 510  # cloud-side, no skew
-        assert record.t3 == 510 + 200 + 1500 + 25
+    def test_cloud_run_record(self):
+        config = ScenarioConfig.from_dict({
+            "pipeline": "cloud",
+            "seed": 0,
+            "workload": {"items": 1, "warmup_delay_s": 0.5,
+                         "input_bytes_per_item": {"constant": 1000}},
+            "link": {"propagation_ms": {"constant": 10}},
+            "cloud_function": {"trigger_overhead_ms": {"constant": 200},
+                               "exec_ms": {"constant": 1500},
+                               "result_write_ms": {"constant": 25}},
+            "clock": {"skew_edge_ms": 30},
+        })
+        (row,) = run_scenario(config).rows
+        assert row.c_edge_ms == 0
+        assert row.t1 == 530  # upload start plus edge skew
+        assert row.t2 == 510  # cloud-side, no skew
+        assert row.t3 == 510 + 200 + 1500 + 25
 
 
 class TestBandwidth:
-    def audio_spec(self, items=104):
-        return WorkloadSpec(kind="audio", items=items,
-                            input_bytes_per_item=constant(84904),
-                            result_payload_bytes=constant(162))
+    """Reference byte totals of the calibrated cloud fixtures, from their run ledgers."""
 
     def test_audio_fixture_expectation(self):
-        link = LinkModel(per_message_overhead_bytes=2050)
-        total = cloud_bandwidth(self.audio_spec(), link)
-        assert total == 104 * (84904 + 2050) + 104 * 162
-        assert abs(total - 9.06e6) < 0.01e6
-
-    def test_zero_items(self):
-        link = LinkModel(per_message_overhead_bytes=2050)
-        assert cloud_bandwidth(self.audio_spec(items=0), link) == 0
+        total = run_scenario(load_fixture("scenarios/aws-cloud-audio")).report.ledger["total"]
+        assert total["transmitted_bytes"] == 104 * (84904 + 2050) + 104 * 162
+        assert abs(total["transmitted_bytes"] - 9.06e6) < 0.01e6
 
     def test_image_azure_fixture_expectation(self):
-        spec = WorkloadSpec(kind="image", items=500,
-                            input_bytes_per_item=constant(143380),
-                            result_payload_bytes=constant(752))
-        link = LinkModel(per_message_overhead_bytes=2848)
-        total = cloud_bandwidth(spec, link)
-        assert abs(total - 73.49e6) < 0.01e6
+        total = run_scenario(load_fixture("scenarios/azure-cloud-image")).report.ledger["total"]
+        assert abs(total["transmitted_bytes"] - 73.49e6) < 0.01e6

@@ -26,34 +26,26 @@ from edgebench.core import (
 
 class TestClock:
     def test_advance_identity(self):
-        clock = Clock("virtual")
+        clock = Clock()
         clock.advance(0)
         assert clock.now == 0
 
     def test_advance_forward(self):
-        clock = Clock("virtual")
+        clock = Clock()
         clock.advance(1500)
         assert clock.now == 1500
 
     def test_advance_backwards_rejected(self):
-        clock = Clock("virtual")
+        clock = Clock()
         clock.advance(100)
         with pytest.raises(TimeRegression):
             clock.advance(50)
 
     def test_skew_offsets_edge_stamps_only(self):
-        clock = Clock("virtual", skew_edge_ms=50)
+        clock = Clock(skew_edge_ms=50)
         clock.advance(1000)
         assert clock.edge_stamp(clock.now) == 1050
         assert clock.now == 1000  # event time itself is unaffected
-
-    def test_wall_mode_rejects_advance(self):
-        with pytest.raises(Exception):
-            Clock("wall").advance(10)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            Clock("cosmic")
 
 
 class TestSeededRng:
@@ -235,7 +227,7 @@ class TestMessage:
 
 class TestEventLoop:
     def test_monotonic_processing(self):
-        clock = Clock("virtual")
+        clock = Clock()
         loop = EventLoop(clock)
         seen = []
         for t in (50, 10, 30, 10):
@@ -244,7 +236,7 @@ class TestEventLoop:
         assert seen == sorted(seen)
 
     def test_equal_time_priority_order(self):
-        clock = Clock("virtual")
+        clock = Clock()
         loop = EventLoop(clock)
         seen = []
         loop.schedule(10, lambda: seen.append("flush"), priority=1)
@@ -254,7 +246,7 @@ class TestEventLoop:
 
     def test_replay_never_decreases(self):
         rng = SeededRng(17)
-        clock = Clock("virtual")
+        clock = Clock()
         loop = EventLoop(clock)
         times = []
         t = 0
@@ -265,7 +257,7 @@ class TestEventLoop:
         assert times == sorted(times)
 
     def test_past_scheduling_rejected(self):
-        clock = Clock("virtual")
+        clock = Clock()
         clock.advance(100)
         loop = EventLoop(clock)
         with pytest.raises(TimeRegression):

@@ -11,7 +11,7 @@ def run_hub(policy, arrivals, payload_bytes=100, seed=0):
 
     Returns (hub, blobs) where blobs is a list of (messages, created_at).
     """
-    clock = Clock("virtual")
+    clock = Clock()
     loop = EventLoop(clock)
     blobs = []
     hub = Hub(policy, loop, SeededRng(seed).substream("hub"),

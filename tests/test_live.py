@@ -4,9 +4,16 @@ Live timings are approximate by design, so assertions here are
 structural (conservation, decomposition bounds), not exact.
 """
 
+import json
+import threading
+import time
+from dataclasses import replace
+
 import pytest
 
 from edgebench.config import ScenarioConfig
+from edgebench.hub import Hub
+from edgebench.metrics import IncompleteRecord
 from edgebench.runner import run_scenario
 
 
@@ -84,3 +91,103 @@ class TestLiveCloud:
         for row in result.rows:
             assert row.c_edge_ms == 0
             assert row.residence_ms >= 30  # trigger + exec at least
+
+
+def parity_config(mode, pipeline="edge"):
+    doc = {
+        "pipeline": pipeline,
+        "platform_profile": "parity",
+        "mode": mode,
+        "seed": 3,
+        "workload": {
+            "kind": "custom",
+            "items": 5,
+            "compute_ms": {"constant": 5},
+            "inter_item_gap_ms": {"constant": 5},
+            "input_bytes_per_item": {"uniform": [100, 1000]},
+            "result_payload_bytes": {"uniform": [300, 1000]},
+        },
+        "link": {"propagation_ms": {"constant": 5}, "per_message_overhead_bytes": 40},
+    }
+    if pipeline == "edge":
+        doc["hub"] = {"mode": "immediate", "write_latency_ms": {"constant": 5}}
+    else:
+        doc["cloud_function"] = {"exec_ms": {"constant": 5}, "memory_mb": 256,
+                                 "inter_upload_gap_s": {"constant": 0.005}}
+    return ScenarioConfig.from_dict(doc)
+
+
+def blob_ids(result):
+    return sorted(tuple(blob.message_ids) for blob in result.store.list_blobs())
+
+
+def threads_started_since(before):
+    return [t for t in threading.enumerate() if t not in before and t.is_alive()]
+
+
+class TestParity:
+    @pytest.mark.parametrize("pipeline", ["edge", "cloud"])
+    def test_live_emits_what_virtual_emits(self, pipeline):
+        virtual = run_scenario(parity_config("virtual", pipeline))
+        live = run_scenario(parity_config("live", pipeline))
+        assert ({r.id: r.payload_bytes for r in live.rows}
+                == {r.id: r.payload_bytes for r in virtual.rows})
+        assert live.report.ledger == virtual.report.ledger
+        assert blob_ids(live) == blob_ids(virtual)
+
+    def test_item_hook_does_the_work_in_live_mode(self, tmp_path):
+        def hook(idx):
+            time.sleep(0.02)
+            return f"real result {idx}"
+
+        config = parity_config("live")
+        config.workload = replace(config.workload, item_hook=hook)
+        result = run_scenario(config, persist_blobs=tmp_path)
+        for row in result.rows:
+            assert row.payload_bytes == len(f"real result {row.id}")
+            assert row.c_edge_ms >= 18
+        bodies = [json.loads(p.read_text())["messages"][0]["body"] for p in tmp_path.rglob("*.json")]
+        assert sorted(bodies) == [f"real result {i}" for i in range(5)]
+
+    def test_item_hook_rejected_in_virtual_mode(self):
+        config = parity_config("virtual")
+        config.workload = replace(config.workload, item_hook=lambda idx: "x")
+        with pytest.raises(ValueError, match="item_hook"):
+            run_scenario(config)
+
+
+class TestLiveFailures:
+    def test_loop_thread_failure_stops_the_device(self, tmp_path):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        before = set(threading.enumerate())
+        with pytest.raises(NotADirectoryError):
+            run_scenario(live_edge_config(items=50), persist_blobs=blocker / "blobs")
+        assert threads_started_since(before) == []
+
+    def test_device_thread_failure_stops_the_loop(self):
+        def hook(idx):
+            if idx == 1:
+                raise RuntimeError("item 1 failed")
+            return "ok"
+
+        config = live_edge_config(items=4, hub={"mode": "batched", "window_s": 5.0})
+        config.workload = replace(config.workload, item_hook=hook)
+        before = set(threading.enumerate())
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="item 1 failed"):
+            run_scenario(config)
+        assert time.monotonic() - started < 2.0  # did not wait for the 5 s window flush
+        assert threads_started_since(before) == []
+
+    @pytest.mark.parametrize("mode", ["virtual", "live"])
+    def test_lost_message_fails_the_run(self, mode, monkeypatch):
+        ingest = Hub.ingest
+
+        def lossy_ingest(hub, msg, arrival):
+            if msg.id != 1:
+                return ingest(hub, msg, arrival)
+
+        monkeypatch.setattr(Hub, "ingest", lossy_ingest)
+        with pytest.raises(IncompleteRecord, match="message 1"):
+            run_scenario(parity_config(mode))

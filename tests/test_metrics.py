@@ -10,10 +10,8 @@ from edgebench.metrics import (
     EmptyRun,
     IncompleteRecord,
     MetricRow,
-    UnsupportedFormat,
     aggregate,
     config_fingerprint,
-    export,
     finalize_row,
     nearest_rank,
     report_from_json,
@@ -116,22 +114,6 @@ class TestExport:
         report = aggregate(synthetic_rows(3))
         doc = json.loads(report_to_json(report))
         assert doc["resources"] is None  # absent optional serialized as null
-
-    def test_unsupported_format(self):
-        report = aggregate(synthetic_rows(3))
-        with pytest.raises(UnsupportedFormat):
-            export(report, "xml")
-
-    def test_export_csv_and_json_agree_with_helpers(self):
-        rows = synthetic_rows(5)
-        report = aggregate(rows)
-        assert export(report, "csv", rows) == rows_to_csv(rows)
-        assert export(report, "json") == report_to_json(report)
-
-    def test_svg_export_deterministic(self):
-        report = aggregate(synthetic_rows(5), config={"workload": {"kind": "audio"}})
-        assert export(report, "svg-chart") == export(report, "svg-chart")
-        assert export(report, "svg-chart").startswith(b"<svg")
 
 
 class TestFingerprint:

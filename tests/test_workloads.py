@@ -6,46 +6,45 @@ import json
 import pytest
 
 from edgebench.core import Clock, SeededRng, constant, empirical, normal, uniform
-from edgebench.runner import RESOURCE_CHUNK
+from edgebench.config import load_fixture
+from edgebench.runner import CLOUD_FUNCTION_SOURCE, DEVICE, RESOURCE_CHUNK, run_scenario
 from edgebench.workloads import (
     ExhaustedWorkload,
     InvalidRate,
     ResourceProfile,
     WorkloadSpec,
-    generate_scalar_batch,
     run_item,
-    workload_totals,
+    scalar_batch_body,
 )
 
 
 def make_clock(skew=0):
-    return Clock("virtual", skew_edge_ms=skew)
+    return Clock(skew_edge_ms=skew)
 
 
 class TestScalarBatch:
     def test_ten_values_at_ten_hz(self):
-        msg = generate_scalar_batch(10, 1, SeededRng(0))
-        assert len(json.loads(msg.body)) == 10
+        body = scalar_batch_body(10, 1, SeededRng(0))
+        assert len(json.loads(body)) == 10
 
     def test_subunit_rate_gives_empty_batch(self):
-        msg = generate_scalar_batch(0.5, 1, SeededRng(0))
-        assert json.loads(msg.body) == []
-        assert msg.payload_bytes == len(b"[]")
+        assert scalar_batch_body(0.5, 1, SeededRng(0)) == "[]"
 
     def test_payload_matches_serialized_length(self):
-        msg = generate_scalar_batch(12, 1, SeededRng(1))
+        spec = WorkloadSpec(kind="scalar", items=1, scalar_freq_hz=12, scalar_interval_s=1)
+        _, msg = run_item(spec, 0, make_clock(), SeededRng(1))
         assert msg.payload_bytes == len(msg.body.encode("utf-8"))
 
     def test_calibrated_payload_near_234_bytes(self):
         rng = SeededRng(42)
-        sizes = [generate_scalar_batch(12, 1, rng).payload_bytes for _ in range(500)]
+        sizes = [len(scalar_batch_body(12, 1, rng).encode("utf-8")) for _ in range(500)]
         assert abs(sum(sizes) / len(sizes) - 234) < 12
 
     def test_invalid_rate(self):
         with pytest.raises(InvalidRate):
-            generate_scalar_batch(0, 1, SeededRng(0))
+            scalar_batch_body(0, 1, SeededRng(0))
         with pytest.raises(InvalidRate):
-            generate_scalar_batch(1, -2, SeededRng(0))
+            scalar_batch_body(1, -2, SeededRng(0))
 
 
 class TestRunItem:
@@ -103,24 +102,20 @@ class TestRunItem:
 
 
 class TestWorkloadTotals:
+    """Reference payload totals of the calibrated fixtures, from their run ledgers."""
+
     def test_audio_input_total(self):
-        spec = WorkloadSpec(kind="audio", items=104,
-                            input_bytes_per_item=constant(84904),
-                            result_payload_bytes=constant(162))
-        total_input, total_payload = workload_totals(spec)
+        ledger = run_scenario(load_fixture("scenarios/aws-cloud-audio")).report.ledger
+        total_input = ledger["sources"][DEVICE]["payload_bytes"]
         assert total_input == 104 * 84904  # 8.83 MB
         assert abs(total_input - 8.83e6) < 0.01e6
-        assert total_payload == 104 * 162
+        assert ledger["sources"][CLOUD_FUNCTION_SOURCE]["payload_bytes"] == 104 * 162
 
     def test_image_payload_total(self):
-        spec = WorkloadSpec(kind="image", items=500, result_payload_bytes=constant(752))
-        _, total_payload = workload_totals(spec)
+        ledger = run_scenario(load_fixture("scenarios/greengrass-image")).report.ledger
+        total_payload = ledger["total"]["payload_bytes"]
         assert total_payload == 376000  # 0.38 MB
         assert abs(total_payload - 0.38e6) < 0.01e6
-
-    def test_zero_items(self):
-        spec = WorkloadSpec(kind="custom", items=0)
-        assert workload_totals(spec) == (0.0, 0.0)
 
     def test_invariants(self):
         with pytest.raises(ValueError):
