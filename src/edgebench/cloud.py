@@ -68,12 +68,12 @@ def time_cloud_item(
     rng: SeededRng,
 ) -> CloudItemTiming:
     """Draw one item's upload/trigger/exec/write decomposition."""
-    upload = link.propagation_ms.sample_ms(rng)
+    upload = link.propagation_ms.sample_int(rng)
     upload += link.serialization_ms(input_bytes + link.per_message_overhead_bytes)
     return CloudItemTiming(
         upload_start=upload_start,
         upload_ms=upload,
-        trigger_ms=profile.trigger_overhead_ms.sample_ms(rng),
-        exec_ms=profile.exec_ms.sample_ms(rng),
-        write_ms=profile.result_write_ms.sample_ms(rng),
+        trigger_ms=profile.trigger_overhead_ms.sample_int(rng),
+        exec_ms=profile.exec_ms.sample_int(rng),
+        write_ms=profile.result_write_ms.sample_int(rng),
     )

@@ -2,13 +2,16 @@
 
 Configs are YAML mappings with an optional ``extends`` key naming a
 shipped fixture (e.g. ``scenarios/greengrass-audio``) or a path relative
-to the including file. Unknown keys are fatal so calibrated fixtures
-cannot be silently mistyped.
+to the including file. A section's keys are the fields of its dataclass.
+Unknown keys are fatal so calibrated fixtures cannot be silently
+mistyped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import typing
+from dataclasses import dataclass, fields
 from decimal import Decimal
 from importlib import resources as importlib_resources
 from pathlib import Path
@@ -69,11 +72,15 @@ def _load_yaml(path: Path) -> dict:
 
 
 def _merge(parent: dict, child: dict) -> dict:
-    """Deep merge; child values win, nested mappings merge recursively."""
+    """Child values win; a section both define merges key by key.
+
+    Sections are one level deep, so a value inside a section (a
+    distribution, say) replaces the parent's whole.
+    """
     out = dict(parent)
     for key, value in child.items():
         if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
+            out[key] = {**out[key], **value}
         else:
             out[key] = value
     return out
@@ -98,33 +105,29 @@ def _resolve_extends(path: Path, _seen: tuple = ()) -> dict:
 
 
 # --- schema ------------------------------------------------------------
+#
+# A section's keys, defaults and types are the fields of its dataclass;
+# a field with metadata {"config": False} is not a config key.
 
 _DIST_KINDS = ("constant", "uniform", "normal", "empirical")
 
-_SCHEMA = {
-    "": {"label", "pipeline", "platform_profile", "mode", "seed", "output_dir",
-         "workload", "link", "hub", "cloud_function", "resources", "clock", "storage"},
-    "workload": {"kind", "items", "input_bytes_per_item", "compute_ms",
-                 "result_payload_bytes", "inter_item_gap_ms", "scalar_freq_hz",
-                 "scalar_interval_s", "warmup_delay_s"},
-    "link": {"propagation_ms", "bandwidth_bytes_per_s", "per_message_overhead_bytes",
-             "drop_probability"},
-    "hub": {"mode", "window_s", "chunk_bytes", "holdback_s", "write_latency_ms",
-            "platform_faithful"},
-    "cloud_function": {"trigger_overhead_ms", "exec_ms", "memory_mb",
-                       "inter_upload_gap_s", "result_write_ms"},
-    "resources": {"cpu_pct", "ram_mb", "platform_ram_delta_mb", "cores"},
-    "clock": {"skew_edge_ms"},
-    "storage": {"blob_envelope_bytes", "route"},
-}
+_SCALARS = ("pipeline", "platform_profile", "label", "mode", "seed", "output_dir")
+_SECTIONS = {"workload": WorkloadSpec, "link": LinkModel, "hub": HubPolicy,
+             "cloud_function": CloudFunctionProfile, "resources": ResourceProfile}
+# these sections hold flat fields of ScenarioConfig
+_FLAT_SECTIONS = {"clock": ("skew_edge_ms",), "storage": ("blob_envelope_bytes", "route")}
+_TOP_LEVEL_KEYS = {*_SCALARS, *_SECTIONS, *_FLAT_SECTIONS}
+_EXPECTED = {bool: "true or false", str: "a string", int: "an integer", float: "a number",
+             Decimal: "a number"}
 
 
-def _check_keys(section: str, mapping: dict) -> None:
-    allowed = _SCHEMA[section]
-    for key in mapping:
-        if key not in allowed:
-            where = f"{section}.{key}" if section else key
-            raise UnknownKey(f"unknown config key: {where!r}")
+@functools.cache
+def _field_types(cls) -> dict:
+    """Config key -> type of each config field of a dataclass (``X | None`` as ``X``)."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: next((t for t in typing.get_args(hints[f.name]) if t is not type(None)),
+                         hints[f.name])
+            for f in fields(cls) if f.metadata.get("config", True)}
 
 
 def parse_distribution(value, where: str) -> Distribution:
@@ -150,10 +153,59 @@ def parse_distribution(value, where: str) -> Distribution:
                      f"got {value!r}")
 
 
-def _dist_or_default(mapping: dict, key: str, section: str, default: Distribution) -> Distribution:
-    if key not in mapping or mapping[key] is None:
-        return default
-    return parse_distribution(mapping[key], f"{section}.{key}")
+def _convert(tp, value, where: str):
+    """``value`` as a config field of type ``tp``; ParseError naming ``where`` if it is none.
+
+    Booleans and strings are taken as they are, a boolean is not a
+    number, and an integer field refuses a fractional value. Decimals
+    are read from the value's text, so ``0.1`` stays exact.
+    """
+    if tp is Distribution:
+        return parse_distribution(value, where)
+    if tp is bool or tp is str:
+        if isinstance(value, tp):
+            return value
+    elif not isinstance(value, bool) and not (
+            tp is int and isinstance(value, float) and not value.is_integer()):
+        try:
+            return Decimal(str(value)) if tp is Decimal else tp(value)
+        except (TypeError, ValueError, ArithmeticError):
+            pass
+    raise ParseError(f"{where}: expected {_EXPECTED[tp]}, got {value!r}")
+
+
+def _read_section(types: dict, section: str, mapping) -> dict:
+    """The converted values of a section whose keys and types are ``types``.
+
+    Absent and null keys are left out, so they keep their defaults.
+    """
+    if not isinstance(mapping, dict):
+        raise ParseError(f"{section} must be a mapping, got {mapping!r}")
+    values = {}
+    for key, value in mapping.items():
+        where = f"{section}.{key}"
+        if key not in types:
+            raise UnknownKey(f"unknown config key: {where!r}")
+        if value is not None:
+            values[key] = _convert(types[key], value, where)
+    return values
+
+
+def _build_section(cls, section: str, mapping):
+    """An instance of the dataclass ``cls`` from its config section."""
+    values = _read_section(_field_types(cls), section, mapping)
+    try:
+        return cls(**values)
+    except (ValueError, ArithmeticError) as exc:
+        raise ParseError(f"{section}: {exc}") from exc
+
+
+def _section_dict(obj) -> dict | None:
+    """A section's config fields as a config file writes them."""
+    if obj is None:
+        return None
+    values = {name: getattr(obj, name) for name in _field_types(type(obj))}
+    return {k: v.to_spec() if isinstance(v, Distribution) else v for k, v in values.items()}
 
 
 @dataclass
@@ -168,71 +220,19 @@ class ScenarioConfig:
     output_dir: str | None
     workload: WorkloadSpec
     link: LinkModel
-    hub: HubPolicy | None
-    cloud_function: CloudFunctionProfile | None
-    resources: ResourceProfile | None
-    skew_edge_ms: int
-    blob_envelope_bytes: int
-    route: str
+    hub: HubPolicy | None = None
+    cloud_function: CloudFunctionProfile | None = None
+    resources: ResourceProfile | None = None
+    skew_edge_ms: int = 0
+    blob_envelope_bytes: int = 0
+    route: str = "results"
 
     def to_dict(self) -> dict:
         """Canonical resolved form, embedded in reports for reproducibility."""
-        w = self.workload
-        doc = {
-            "pipeline": self.pipeline,
-            "platform_profile": self.platform_profile,
-            "label": self.label,
-            "mode": self.mode,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "workload": {
-                "kind": w.kind,
-                "items": w.items,
-                "input_bytes_per_item": w.input_bytes_per_item.to_spec(),
-                "compute_ms": w.compute_ms.to_spec(),
-                "result_payload_bytes": w.result_payload_bytes.to_spec(),
-                "inter_item_gap_ms": w.inter_item_gap_ms.to_spec(),
-                "scalar_freq_hz": w.scalar_freq_hz,
-                "scalar_interval_s": w.scalar_interval_s,
-                "warmup_delay_s": w.warmup_delay_s,
-            },
-            "link": {
-                "propagation_ms": self.link.propagation_ms.to_spec(),
-                "bandwidth_bytes_per_s": self.link.bandwidth_bytes_per_s,
-                "per_message_overhead_bytes": self.link.per_message_overhead_bytes,
-                "drop_probability": self.link.drop_probability,
-            },
-            "hub": None,
-            "cloud_function": None,
-            "resources": None,
-            "clock": {"skew_edge_ms": self.skew_edge_ms},
-            "storage": {"blob_envelope_bytes": self.blob_envelope_bytes, "route": self.route},
-        }
-        if self.hub is not None:
-            doc["hub"] = {
-                "mode": self.hub.mode,
-                "window_s": self.hub.window_s,
-                "chunk_bytes": self.hub.chunk_bytes,
-                "holdback_s": self.hub.holdback_s,
-                "write_latency_ms": self.hub.write_latency_ms.to_spec(),
-                "platform_faithful": self.hub.platform_faithful,
-            }
-        if self.cloud_function is not None:
-            cf = self.cloud_function
-            doc["cloud_function"] = {
-                "trigger_overhead_ms": cf.trigger_overhead_ms.to_spec(),
-                "exec_ms": cf.exec_ms.to_spec(),
-                "memory_mb": cf.memory_mb,
-                "inter_upload_gap_s": cf.inter_upload_gap_s.to_spec(),
-                "result_write_ms": cf.result_write_ms.to_spec(),
-            }
-        if self.resources is not None:
-            doc["resources"] = {
-                "cpu_pct": self.resources.cpu_pct.to_spec(),
-                "ram_mb": self.resources.ram_mb.to_spec(),
-                "platform_ram_delta_mb": self.resources.platform_ram_delta_mb,
-                "cores": self.resources.cores,
-            }
+        doc = {key: getattr(self, key) for key in _SCALARS}
+        doc.update((section, _section_dict(getattr(self, section))) for section in _SECTIONS)
+        doc.update((section, {key: getattr(self, key) for key in keys})
+                   for section, keys in _FLAT_SECTIONS.items())
         return doc
 
     @classmethod
@@ -240,87 +240,10 @@ class ScenarioConfig:
         return _build_config(doc)
 
 
-def _build_workload(section: dict) -> WorkloadSpec:
-    _check_keys("workload", section)
-    kind = section.get("kind", "custom")
-    items = section.get("items")
-    if items is None:
-        raise ParseError("workload.items is required")
-    if int(items) < 1:
-        raise ParseError(f"workload.items must be >= 1, got {items}")
-    try:
-        return WorkloadSpec(
-            kind=kind,
-            items=int(items),
-            input_bytes_per_item=_dist_or_default(section, "input_bytes_per_item", "workload", constant(0)),
-            compute_ms=_dist_or_default(section, "compute_ms", "workload", constant(0)),
-            result_payload_bytes=_dist_or_default(section, "result_payload_bytes", "workload", constant(0)),
-            inter_item_gap_ms=_dist_or_default(section, "inter_item_gap_ms", "workload", constant(0)),
-            scalar_freq_hz=float(section.get("scalar_freq_hz", 1.0)),
-            scalar_interval_s=float(section.get("scalar_interval_s", 1.0)),
-            warmup_delay_s=float(section.get("warmup_delay_s", 0.0)),
-        )
-    except ValueError as exc:
-        raise ParseError(f"workload: {exc}") from exc
-
-
-def _build_link(section: dict) -> LinkModel:
-    _check_keys("link", section)
-    bandwidth = section.get("bandwidth_bytes_per_s")
-    try:
-        return LinkModel(
-            propagation_ms=_dist_or_default(section, "propagation_ms", "link", constant(0)),
-            bandwidth_bytes_per_s=None if bandwidth is None else float(bandwidth),
-            per_message_overhead_bytes=int(section.get("per_message_overhead_bytes", 0)),
-            drop_probability=float(section.get("drop_probability", 0.0)),
-        )
-    except ValueError as exc:
-        raise ParseError(f"link: {exc}") from exc
-
-
-def _build_hub(section: dict) -> HubPolicy:
-    _check_keys("hub", section)
-    window = section.get("window_s")
-    chunk = section.get("chunk_bytes")
-    try:
-        return HubPolicy(
-            mode=section.get("mode", "immediate"),
-            window_s=None if window is None else float(window),
-            chunk_bytes=None if chunk is None else int(chunk),
-            holdback_s=float(section.get("holdback_s", 0.0)),
-            write_latency_ms=_dist_or_default(section, "write_latency_ms", "hub", constant(0)),
-            platform_faithful=bool(section.get("platform_faithful", False)),
-        )
-    except ValueError as exc:
-        raise ParseError(f"hub: {exc}") from exc
-
-
-def _build_cloud_function(section: dict) -> CloudFunctionProfile:
-    _check_keys("cloud_function", section)
-    try:
-        return CloudFunctionProfile(
-            trigger_overhead_ms=_dist_or_default(section, "trigger_overhead_ms", "cloud_function", constant(0)),
-            exec_ms=_dist_or_default(section, "exec_ms", "cloud_function", constant(0)),
-            memory_mb=int(section.get("memory_mb", 128)),
-            inter_upload_gap_s=_dist_or_default(section, "inter_upload_gap_s", "cloud_function", constant(0)),
-            result_write_ms=_dist_or_default(section, "result_write_ms", "cloud_function", constant(0)),
-        )
-    except ValueError as exc:
-        raise ParseError(f"cloud_function: {exc}") from exc
-
-
-def _build_resources(section: dict) -> ResourceProfile:
-    _check_keys("resources", section)
-    return ResourceProfile(
-        cpu_pct=_dist_or_default(section, "cpu_pct", "resources", constant(0)),
-        ram_mb=_dist_or_default(section, "ram_mb", "resources", constant(0)),
-        platform_ram_delta_mb=float(section.get("platform_ram_delta_mb", 0.0)),
-        cores=int(section.get("cores", 4)),
-    )
-
-
 def _build_config(doc: dict) -> ScenarioConfig:
-    _check_keys("", doc)
+    for key in doc:
+        if key not in _TOP_LEVEL_KEYS:
+            raise UnknownKey(f"unknown config key: {key!r}")
     pipeline = doc.get("pipeline")
     if pipeline not in ("edge", "cloud"):
         raise ParseError(f"pipeline must be 'edge' or 'cloud', got {pipeline!r}")
@@ -330,43 +253,39 @@ def _build_config(doc: dict) -> ScenarioConfig:
     seed = doc.get("seed")
     if mode == "virtual" and seed is None:
         raise ParseError("seed is required in virtual mode")
-    if "workload" not in doc or not isinstance(doc["workload"], dict):
+    if not isinstance(doc.get("workload"), dict):
         raise ParseError("workload section is required")
-    workload = _build_workload(doc["workload"])
-    link = _build_link(doc.get("link") or {})
-    hub = _build_hub(doc["hub"]) if isinstance(doc.get("hub"), dict) else None
-    cloud_fn = (_build_cloud_function(doc["cloud_function"])
-                if isinstance(doc.get("cloud_function"), dict) else None)
-    if pipeline == "edge" and hub is None:
-        raise ParseError("edge pipeline requires a hub section")
-    if pipeline == "cloud" and cloud_fn is None:
-        raise ParseError("cloud pipeline requires a cloud_function section")
+    if doc["workload"].get("items") is None:
+        raise ParseError("workload.items is required")
+    sections = {name: _build_section(cls, name, doc[name])
+                for name, cls in _SECTIONS.items() if doc.get(name) is not None}
+    if sections["workload"].items < 1:
+        raise ParseError(f"workload.items must be >= 1, got {sections['workload'].items}")
+    needed, unused = ("hub", "cloud_function") if pipeline == "edge" else ("cloud_function", "hub")
+    if needed not in sections:
+        raise ParseError(f"{pipeline} pipeline requires a {needed} section")
+    if unused in sections:
+        raise ParseError(f"{unused}: the {pipeline} pipeline does not use this section")
+    link = sections.setdefault("link", LinkModel())
     if pipeline == "cloud" and link.drop_probability > 0:
         raise ParseError(f"link.drop_probability: the cloud pipeline does not model drops, "
                          f"got {link.drop_probability}")
-    resources = (_build_resources(doc["resources"])
-                 if isinstance(doc.get("resources"), dict) else None)
-    clock_section = doc.get("clock") or {}
-    _check_keys("clock", clock_section)
-    storage_section = doc.get("storage") or {}
-    _check_keys("storage", storage_section)
+    types = _field_types(ScenarioConfig)
+    flat = {}
+    for section, keys in _FLAT_SECTIONS.items():
+        flat.update(_read_section({key: types[key] for key in keys}, section, doc.get(section) or {}))
+    if flat.get("blob_envelope_bytes", 0) < 0:
+        raise ParseError(f"storage.blob_envelope_bytes must be >= 0, got {flat['blob_envelope_bytes']}")
     platform = doc.get("platform_profile", "unnamed")
-    label = doc.get("label") or f"{platform}/{workload.kind}"
     return ScenarioConfig(
         pipeline=pipeline,
         platform_profile=platform,
-        label=label,
+        label=doc.get("label") or f"{platform}/{sections['workload'].kind}",
         mode=mode,
-        seed=None if seed is None else int(seed),
+        seed=None if seed is None else _convert(int, seed, "seed"),
         output_dir=doc.get("output_dir"),
-        workload=workload,
-        link=link,
-        hub=hub,
-        cloud_function=cloud_fn,
-        resources=resources,
-        skew_edge_ms=int(clock_section.get("skew_edge_ms", 0)),
-        blob_envelope_bytes=int(storage_section.get("blob_envelope_bytes", 0)),
-        route=str(storage_section.get("route", "results")),
+        **sections,
+        **flat,
     )
 
 
@@ -385,13 +304,6 @@ def load_fixture(name: str) -> ScenarioConfig:
 
 # --- rate cards and usage scenarios ----------------------------------
 
-_RATECARD_KEYS = {"edge_runtime_usd_per_device_month", "storage_usd_per_gb_month",
-                  "put_usd_per_1k", "get_usd_per_1k", "function_usd_per_gb_s",
-                  "function_usd_per_invocation"}
-_USAGE_KEYS = {"messages_per_month", "avg_message_kb", "avg_input_kb",
-               "function_exec_ms", "function_mem_gb", "devices"}
-
-
 def _named_or_path(name: str, kind: str) -> Path:
     path = Path(name)
     if path.is_file():
@@ -401,24 +313,9 @@ def _named_or_path(name: str, kind: str) -> Path:
 
 def load_rate_card(name: str | Path) -> RateCard:
     """Load a rate card by fixture name (e.g. ``us-east-2018``) or path."""
-    doc = _load_yaml(_named_or_path(str(name), "ratecards"))
-    for key in doc:
-        if key not in _RATECARD_KEYS:
-            raise UnknownKey(f"unknown rate card key: {key!r}")
-    return RateCard(**{k: Decimal(str(v)) for k, v in doc.items()})
+    return _build_section(RateCard, "ratecard", _load_yaml(_named_or_path(str(name), "ratecards")))
 
 
 def load_usage(name: str | Path) -> UsageScenario:
     """Load a usage scenario by fixture name (e.g. ``traffic-camera``) or path."""
-    doc = _load_yaml(_named_or_path(str(name), "usage"))
-    for key in doc:
-        if key not in _USAGE_KEYS:
-            raise UnknownKey(f"unknown usage key: {key!r}")
-    kwargs = dict(doc)
-    for field_name in ("messages_per_month", "devices"):
-        if field_name in kwargs:
-            kwargs[field_name] = int(kwargs[field_name])
-    for field_name in ("avg_message_kb", "avg_input_kb", "function_exec_ms", "function_mem_gb"):
-        if field_name in kwargs:
-            kwargs[field_name] = Decimal(str(kwargs[field_name]))
-    return UsageScenario(**kwargs)
+    return _build_section(UsageScenario, "usage", _load_yaml(_named_or_path(str(name), "usage")))

@@ -215,22 +215,6 @@ class Distribution:
         """Integer sample, rounded half-to-even and clamped at zero."""
         return to_ms(self.sample(rng))
 
-    # millisecond draws share the integer rounding rule
-    sample_ms = sample_int
-
-    def mean(self) -> float:
-        """Expected value (normal ignores the zero clamp)."""
-        if self.kind == "constant":
-            return float(self.params[0])
-        if self.kind == "uniform":
-            return (self.params[0] + self.params[1]) / 2.0
-        if self.kind == "normal":
-            return float(self.params[0])
-        if self.kind == "empirical":
-            values = list(self.params[0])
-            return sum(values) / len(values)
-        raise InvalidDistribution(f"unknown distribution kind: {self.kind!r}")
-
     def to_spec(self):
         if self.kind == "constant":
             return {"constant": self.params[0]}

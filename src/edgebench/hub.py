@@ -66,8 +66,6 @@ class HubRecord:
 
     message_id: int
     t2: int
-    flush_time: int | None = None
-    residence_ms: int | None = None
 
 
 class Hub:
@@ -101,10 +99,8 @@ class Hub:
     # --- immediate policy: one blob per message -------------------------
 
     def route_immediate(self, msg: Message, record: HubRecord) -> None:
-        write_ms = self.policy.write_latency_ms.sample_ms(self.rng)
+        write_ms = self.policy.write_latency_ms.sample_int(self.rng)
         t3 = record.t2 + write_ms
-        record.flush_time = record.t2
-        record.residence_ms = write_ms
         self.loop.schedule(t3, lambda m=msg, t=t3: self.on_blob([m], t), priority=2)
 
     # --- batched policy: window tiling with hold-back --------------------
@@ -148,10 +144,6 @@ class Hub:
         self._open_boundary = None
         batch.sort(key=lambda m: self.records[m.id].t2)
         t3 = flush_time + round(self.policy.holdback_s * 1000)
-        for m in batch:
-            member = self.records[m.id]
-            member.flush_time = flush_time
-            member.residence_ms = t3 - member.t2
         self.loop.schedule(t3, lambda b=batch, t=t3: self.on_blob(b, t), priority=2)
 
     def flush_open(self, flush_time: int) -> bool:

@@ -7,8 +7,9 @@ burned with a deadline spin loop (approximate, a few percent per item),
 or spent in the workload's ``item_hook``; link delays are modeled, not
 transmitted. Resource usage is sampled from the real process at 1 s
 cadence, so live reports carry measured CPU/RSS instead of replayed
-profiles. Live runs are excluded from the exact-determinism guarantees
-of virtual mode.
+profiles; without psutil, or in a run shorter than one sample, they
+say why none were taken. Live runs are excluded from the
+exact-determinism guarantees of virtual mode.
 """
 
 from __future__ import annotations
@@ -23,10 +24,14 @@ from .runner import RunResult, finish_run, start_run
 
 
 class _WallClock:
-    """Milliseconds since the run began, with the interface of ``core.Clock``."""
+    """Milliseconds since the run began, with the interface of ``core.Clock``.
 
-    def __init__(self, skew_edge_ms: int = 0):
+    ``stop`` is the run's stop event: once it is set, compute ends early.
+    """
+
+    def __init__(self, skew_edge_ms: int, stop: threading.Event):
         self.skew_edge_ms = int(skew_edge_ms)
+        self.stop = stop
         self._base = time.monotonic_ns()
 
     @property
@@ -37,10 +42,10 @@ class _WallClock:
         return true_time_ms + self.skew_edge_ms
 
     def compute(self, c_edge_ms: int) -> int:
-        """Burn CPU until ``c_edge_ms`` have passed; returns the elapsed ms."""
+        """Burn CPU until ``c_edge_ms`` have passed or the run stops; returns the elapsed ms."""
         start = self.now
         deadline = start + c_edge_ms
-        while self.now < deadline:
+        while self.now < deadline and not self.stop.is_set():
             pass  # keep the core busy rather than sleeping
         return self.now - start
 
@@ -109,9 +114,11 @@ class _ResourceSampler(threading.Thread):
             self.cpu.append(self._proc.cpu_percent(None))
             self.ram.append(self._proc.memory_info().rss / (1024 * 1024))
 
-    def summary(self) -> dict | None:
-        if self._proc is None or not self.cpu:
-            return None
+    def summary(self) -> dict:
+        if self._proc is None:
+            return {"mode": "unavailable", "reason": "psutil is not installed"}
+        if not self.cpu:
+            return {"mode": "unavailable", "reason": "the run ended before the first 1 s sample"}
         return {
             "mode": "measured",
             "cpu_pct_mean": sum(self.cpu) / len(self.cpu),
@@ -126,8 +133,8 @@ def run_live(config: ScenarioConfig, persist_blobs: str | Path | None = None) ->
     A failure in either thread stops both; it is raised here once every
     thread the run started has ended.
     """
-    clock = _WallClock(config.skew_edge_ms)
     stop = threading.Event()
+    clock = _WallClock(config.skew_edge_ms, stop)
     loop = _WallLoop(clock, stop)
     device_loop = _WallLoop(clock, stop)
     seed = config.seed if config.seed is not None else time.time_ns() & (2**63 - 1)

@@ -92,7 +92,7 @@ class Link:
         if self.model.drop_probability > 0 and self._rng.random() < self.model.drop_probability:
             return DROPPED
         total = payload_bytes + self.model.per_message_overhead_bytes
-        flight = self.model.propagation_ms.sample_ms(self._rng)
+        flight = self.model.propagation_ms.sample_int(self._rng)
         flight += self.model.serialization_ms(total)
         arrival = send_time + flight
         arrival = max(arrival, self._last_arrival.get(source, 0))

@@ -35,7 +35,8 @@ class WorkloadSpec:
     so startup network noise is excluded from byte accounting.
     ``item_hook`` (live mode only) does an item's real work in place of
     the modeled compute time and payload: it is called with the item
-    index and returns the result text.
+    index and returns the result text. It is set from code and is not a
+    config key.
     """
 
     kind: str = "custom"
@@ -47,7 +48,7 @@ class WorkloadSpec:
     scalar_freq_hz: float = 1.0
     scalar_interval_s: float = 1.0
     warmup_delay_s: float = 0.0
-    item_hook: Callable[[int], str] | None = None
+    item_hook: Callable[[int], str] | None = field(default=None, metadata={"config": False})
 
     def __post_init__(self):
         if self.kind not in WORKLOAD_KINDS:
@@ -66,7 +67,7 @@ class WorkloadSpec:
         """Gap before the next item; scalar cadence follows its interval."""
         if self.kind == "scalar":
             return round(self.scalar_interval_s * 1000)
-        return self.inter_item_gap_ms.sample_ms(rng)
+        return self.inter_item_gap_ms.sample_int(rng)
 
 
 @dataclass
@@ -87,6 +88,10 @@ class ResourceProfile:
     ram_mb: Distribution = constant(0)
     platform_ram_delta_mb: float = 0.0
     cores: int = 4
+
+    def __post_init__(self):
+        if self.cores < 1:
+            raise ValueError(f"cores must be >= 1, got {self.cores}")
 
     def sample(self, rng: SeededRng, n: int) -> tuple[np.ndarray, np.ndarray]:
         """``n`` successive (cpu, ram) samples as two float64 arrays.
@@ -154,7 +159,7 @@ def run_item(
     if idx >= spec.items:
         raise ExhaustedWorkload(f"item {idx} out of range (items={spec.items})")
     start = clock.now
-    c_edge = spec.compute_ms.sample_ms(rng)
+    c_edge = spec.compute_ms.sample_int(rng)
     input_bytes = spec.input_bytes_per_item.sample_int(rng)
     if spec.item_hook is not None:
         body = spec.item_hook(idx)

@@ -107,6 +107,13 @@ hub:
         assert code == 1
         assert "60" in err
 
+    def test_bad_value_named(self, capsys, tmp_path):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("extends: scenarios/greengrass-image\nresources: {cores: abc}\n")
+        code, _, err = run_cli(capsys, "validate", "--config", str(bad))
+        assert code == 1
+        assert err.startswith("invalid: resources.cores: ")
+
 
 class TestCharts:
     def test_charts_from_reports(self, capsys, tmp_path):

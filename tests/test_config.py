@@ -3,10 +3,12 @@
 import pytest
 
 from edgebench.config import (
+    _SECTIONS,
     MissingProfile,
     ParseError,
     ScenarioConfig,
     UnknownKey,
+    _field_types,
     list_fixtures,
     load_config,
     load_fixture,
@@ -135,6 +137,27 @@ hub: {mode: immediate}
         with pytest.raises(ParseError):
             load_config(path)
 
+    @pytest.mark.parametrize("parent, override, match", [
+        ("greengrass-image", "seed: abc", "seed: expected an integer"),
+        ("greengrass-image", "workload: {items: abc}", "workload.items: expected an integer"),
+        ("greengrass-image", "workload: {items: 2.7}", "workload.items: expected an integer"),
+        ("greengrass-image", "link: {per_message_overhead_bytes: 2.9}",
+         "link.per_message_overhead_bytes: expected an integer"),
+        ("greengrass-image", "resources: {cores: abc}", "resources.cores: expected an integer"),
+        ("greengrass-image", "resources: {cores: 0}", "resources: cores must be >= 1"),
+        ("greengrass-image", "clock: {skew_edge_ms: abc}", "clock.skew_edge_ms: expected an integer"),
+        ("greengrass-image", "storage: {blob_envelope_bytes: abc}",
+         "storage.blob_envelope_bytes: expected an integer"),
+        ("greengrass-image", "storage: {blob_envelope_bytes: -1}", "storage.blob_envelope_bytes must be >= 0"),
+        ("azureedge-image", "hub: {platform_faithful: 'no'}", "hub.platform_faithful: expected true or false"),
+        ("greengrass-image", "cloud_function: {exec_ms: 5}", "cloud_function: the edge pipeline"),
+        ("aws-cloud-image", "hub: {mode: immediate}", "hub: the cloud pipeline"),
+    ])
+    def test_bad_value_named(self, tmp_path, parent, override, match):
+        path = write_config(tmp_path, f"extends: scenarios/{parent}\n{override}\n")
+        with pytest.raises(ParseError, match=match):
+            load_config(path)
+
 
 class TestDistributionsInConfig:
     def test_shorthand_number(self):
@@ -185,6 +208,15 @@ seed: 123
         with pytest.raises(MissingProfile):
             load_config(child)
 
+    def test_override_replaces_a_distribution_whole(self, tmp_path):
+        child = write_config(tmp_path, """
+extends: scenarios/greengrass-image
+hub: {write_latency_ms: {uniform: [500, 520]}}
+""")
+        config = load_config(child)
+        assert config.hub.write_latency_ms == uniform(500, 520)
+        assert config.hub.mode == "immediate"  # the rest of the section is inherited
+
     def test_cycle_detected(self, tmp_path):
         write_config(tmp_path, "extends: b\n", name="a.yaml")
         write_config(tmp_path, "extends: a\n", name="b.yaml")
@@ -193,15 +225,14 @@ seed: 123
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("name", [
-        "scenarios/greengrass-audio",
-        "scenarios/azureedge-scalar",
-        "scenarios/aws-cloud-image",
-        "scenarios/acceptance-10k",
-    ])
+    @pytest.mark.parametrize("name", list_fixtures())
     def test_config_dict_round_trip(self, name):
         config = load_fixture(name)
-        assert ScenarioConfig.from_dict(config.to_dict()) == config
+        doc = config.to_dict()
+        assert ScenarioConfig.from_dict(doc) == config
+        for section, cls in _SECTIONS.items():
+            if doc[section] is not None:
+                assert set(doc[section]) == set(_field_types(cls))
 
 
 class TestRateCardsAndUsage:
@@ -219,6 +250,12 @@ class TestRateCardsAndUsage:
         path = tmp_path / "card.yaml"
         path.write_text("storage_usd_per_gb_monht: 1\n")
         with pytest.raises(UnknownKey):
+            load_rate_card(path)
+
+    def test_negative_price_rejected(self, tmp_path):
+        path = tmp_path / "card.yaml"
+        path.write_text("put_usd_per_1k: '-0.005'\n")
+        with pytest.raises(ParseError, match="put_usd_per_1k must be >= 0"):
             load_rate_card(path)
 
     def test_unknown_usage_key(self, tmp_path):

@@ -200,13 +200,7 @@ class TestDistributions:
         with pytest.raises(InvalidDistribution):
             empirical([])
 
-    def test_means(self):
-        assert constant(10).mean() == 10
-        assert uniform(0, 100).mean() == 50
-        assert normal(42, 5).mean() == 42
-        assert empirical([1, 2, 3]).mean() == 2
-
-    def test_sample_ms_rounds_half_even(self):
+    def test_sample_int_rounds_half_even(self):
         assert to_ms(0.5) == 0
         assert to_ms(1.5) == 2
         assert to_ms(2.5) == 2

@@ -12,6 +12,7 @@ from dataclasses import replace
 import pytest
 
 from edgebench.config import ScenarioConfig
+from edgebench.core import constant
 from edgebench.hub import Hub
 from edgebench.metrics import IncompleteRecord
 from edgebench.runner import run_scenario
@@ -53,6 +54,12 @@ class TestLiveEdge:
         result = run_scenario(live_edge_config())
         for row in result.rows:
             assert row.t1 <= row.t2 <= row.t3
+
+    def test_unmeasured_resources_say_why(self):
+        # without psutil, or in a run shorter than the 1 s sampling period
+        resources = run_scenario(live_edge_config()).report.resources
+        assert resources["mode"] == "unavailable"
+        assert resources["reason"]
 
     def test_batched_small_window(self):
         hub = {"mode": "batched", "window_s": 0.3, "holdback_s": 0.1}
@@ -164,6 +171,16 @@ class TestLiveFailures:
         with pytest.raises(NotADirectoryError):
             run_scenario(live_edge_config(items=50), persist_blobs=blocker / "blobs")
         assert threads_started_since(before) == []
+
+    def test_failure_interrupts_compute(self, tmp_path):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        config = live_edge_config(items=3)
+        config.workload = replace(config.workload, compute_ms=constant(1500))
+        started = time.monotonic()
+        with pytest.raises(NotADirectoryError):
+            run_scenario(config, persist_blobs=blocker / "blobs")
+        assert time.monotonic() - started < 2.5  # item 1's compute stopped with the run
 
     def test_device_thread_failure_stops_the_loop(self):
         def hook(idx):
