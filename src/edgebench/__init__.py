@@ -25,7 +25,6 @@ from .core import (
     SeededRng,
     SimulationError,
     TimeRegression,
-    TimestampRecord,
     constant,
     empirical,
     normal,
@@ -40,12 +39,13 @@ from .cost import (
     edge_monthly_cost,
     monthly_bandwidth,
 )
-from .hub import Hub, HubPolicy, HubRecord
+from .hub import Hub, HubPolicy
 from .metrics import (
     EmptyRun,
     IncompleteRecord,
     MetricRow,
     RunReport,
+    RunTable,
     aggregate,
     finalize_row,
     report_from_json,
@@ -54,9 +54,8 @@ from .metrics import (
 )
 from .network import ByteLedger, Link, LinkModel, ledger_report
 from .runner import RunResult, run_scenario, write_artifacts
-from .storage import BlobRecord, BlobStore, DuplicateBlobName
+from .storage import BlobRecord, BlobStore
 from .workloads import (
-    ComputeRecord,
     ExhaustedWorkload,
     InvalidRate,
     ResourceProfile,
@@ -72,16 +71,13 @@ __all__ = [
     "ByteLedger",
     "Clock",
     "CloudFunctionProfile",
-    "ComputeRecord",
     "CostBreakdown",
     "Distribution",
-    "DuplicateBlobName",
     "EmptyRun",
     "EventLoop",
     "ExhaustedWorkload",
     "Hub",
     "HubPolicy",
-    "HubRecord",
     "IncompleteRecord",
     "InvalidDistribution",
     "InvalidRate",
@@ -93,11 +89,11 @@ __all__ = [
     "ResourceProfile",
     "RunReport",
     "RunResult",
+    "RunTable",
     "ScenarioConfig",
     "SeededRng",
     "SimulationError",
     "TimeRegression",
-    "TimestampRecord",
     "UsageScenario",
     "WorkloadSpec",
     "aggregate",

@@ -10,6 +10,7 @@ mistyped.
 from __future__ import annotations
 
 import functools
+import math
 import typing
 from dataclasses import dataclass, fields
 from decimal import Decimal
@@ -117,8 +118,8 @@ _SECTIONS = {"workload": WorkloadSpec, "link": LinkModel, "hub": HubPolicy,
 # these sections hold flat fields of ScenarioConfig
 _FLAT_SECTIONS = {"clock": ("skew_edge_ms",), "storage": ("blob_envelope_bytes", "route")}
 _TOP_LEVEL_KEYS = {*_SCALARS, *_SECTIONS, *_FLAT_SECTIONS}
-_EXPECTED = {bool: "true or false", str: "a string", int: "an integer", float: "a number",
-             Decimal: "a number"}
+_EXPECTED = {bool: "true or false", str: "a string", int: "an integer", float: "a finite number",
+             Decimal: "a finite number"}
 
 
 @functools.cache
@@ -131,20 +132,24 @@ def _field_types(cls) -> dict:
 
 
 def parse_distribution(value, where: str) -> Distribution:
-    """Parse ``{constant: c}`` style mappings; bare numbers mean constant."""
+    """Parse ``{constant: c}`` style mappings; bare numbers mean constant.
+
+    Every parameter must be a finite number.
+    """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return constant(value)
+        return constant(_convert(type(value), value, where))
     if isinstance(value, dict) and len(value) == 1:
         kind, params = next(iter(value.items()))
+        number = functools.partial(_convert, float, where=where)
         try:
             if kind == "constant":
-                return constant(float(params))
+                return constant(number(params))
             if kind == "uniform":
-                return uniform(float(params[0]), float(params[1]))
+                return uniform(number(params[0]), number(params[1]))
             if kind == "normal":
-                return normal(float(params[0]), float(params[1]))
+                return normal(number(params[0]), number(params[1]))
             if kind == "empirical":
-                return empirical([float(v) for v in params])
+                return empirical([number(v) for v in params])
         except (TypeError, ValueError, IndexError) as exc:
             raise ParseError(f"{where}: bad {kind} parameters: {params!r}") from exc
         raise UnknownKey(f"{where}: unknown distribution kind {kind!r} "
@@ -157,8 +162,9 @@ def _convert(tp, value, where: str):
     """``value`` as a config field of type ``tp``; ParseError naming ``where`` if it is none.
 
     Booleans and strings are taken as they are, a boolean is not a
-    number, and an integer field refuses a fractional value. Decimals
-    are read from the value's text, so ``0.1`` stays exact.
+    number, an integer field refuses a fractional value, and a number
+    must be finite. Decimals are read from the value's text, so ``0.1``
+    stays exact.
     """
     if tp is Distribution:
         return parse_distribution(value, where)
@@ -168,9 +174,12 @@ def _convert(tp, value, where: str):
     elif not isinstance(value, bool) and not (
             tp is int and isinstance(value, float) and not value.is_integer()):
         try:
-            return Decimal(str(value)) if tp is Decimal else tp(value)
+            number = Decimal(str(value)) if tp is Decimal else tp(value)
         except (TypeError, ValueError, ArithmeticError):
             pass
+        else:
+            if number.is_finite() if tp is Decimal else tp is int or math.isfinite(number):
+                return number
     raise ParseError(f"{where}: expected {_EXPECTED[tp]}, got {value!r}")
 
 
@@ -276,14 +285,16 @@ def _build_config(doc: dict) -> ScenarioConfig:
         flat.update(_read_section({key: types[key] for key in keys}, section, doc.get(section) or {}))
     if flat.get("blob_envelope_bytes", 0) < 0:
         raise ParseError(f"storage.blob_envelope_bytes must be >= 0, got {flat['blob_envelope_bytes']}")
-    platform = doc.get("platform_profile", "unnamed")
+    text = {key: _convert(str, doc[key], key)
+            for key in ("platform_profile", "label", "output_dir") if doc.get(key) is not None}
+    platform = text.get("platform_profile", "unnamed")
     return ScenarioConfig(
         pipeline=pipeline,
         platform_profile=platform,
-        label=doc.get("label") or f"{platform}/{sections['workload'].kind}",
+        label=text.get("label") or f"{platform}/{sections['workload'].kind}",
         mode=mode,
         seed=None if seed is None else _convert(int, seed, "seed"),
-        output_dir=doc.get("output_dir"),
+        output_dir=text.get("output_dir"),
         **sections,
         **flat,
     )

@@ -252,40 +252,25 @@ class Message:
 
     ``t1`` is stamped exactly once, before network delivery, with the
     edge clock (skew included). ``payload_bytes`` excludes framing;
-    framing lives in the link's per-message overhead.
+    framing lives in the link's per-message overhead. ``body`` is the
+    result text when the item produced one (scalar readings, an
+    ``item_hook``'s result) and None when only its size is modeled.
     """
 
     id: int
     source: str
     payload_bytes: int
-    overhead_bytes: int
-    body: str
+    body: str | None = None
     t1: int | None = None
 
     def __post_init__(self):
-        if self.payload_bytes < 0 or self.overhead_bytes < 0:
-            raise ValueError("byte counts must be non-negative")
+        if self.payload_bytes < 0:
+            raise ValueError("payload_bytes must be non-negative")
 
     def stamp_t1(self, t1: int) -> None:
         if self.t1 is not None:
             raise SimulationError(f"message {self.id}: t1 already set")
         self.t1 = t1
-
-
-@dataclass
-class TimestampRecord:
-    """The three pipeline timestamps plus edge compute time for one message.
-
-    t1: edge send, t2: hub enqueue, t3: blob creation (all ms).
-    """
-
-    t1: int | None = None
-    t2: int | None = None
-    t3: int | None = None
-    c_edge: int = 0
-
-    def complete(self) -> bool:
-        return self.t1 is not None and self.t2 is not None and self.t3 is not None
 
 
 @dataclass

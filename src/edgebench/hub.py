@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Distribution, Message, SeededRng, constant
+from .core import Distribution, SeededRng, constant
 
 PLATFORM_MIN_WINDOW_S = 60
 PLATFORM_MIN_CHUNK_BYTES = 10 * 1000 * 1000
@@ -60,69 +60,56 @@ class HubPolicy:
                     )
 
 
-@dataclass
-class HubRecord:
-    """Hub-side bookkeeping for one message."""
-
-    message_id: int
-    t2: int
-
-
 class Hub:
     """Hub state machine driven by the event loop.
 
-    ``on_blob`` is called as on_blob(messages, created_at) whenever the
-    routed messages reach storage; blob creation time is the T3 source.
+    ``ingest`` stamps each message's T2 into the run table. ``on_blob``
+    is called as on_blob(ids, created_at) whenever the routed messages
+    reach storage; blob creation time is the T3 source.
     """
 
-    def __init__(self, policy: HubPolicy, loop, rng: SeededRng, on_blob):
+    def __init__(self, policy: HubPolicy, loop, rng: SeededRng, table, on_blob):
         self.policy = policy
         self.loop = loop
         self.rng = rng
+        self.table = table
         self.on_blob = on_blob
-        self.records: dict[int, HubRecord] = {}
-        self._open_batch: list[Message] = []
+        self._window = None if policy.window_s is None else round(policy.window_s * 1000)
+        self._open_batch: list[int] = []
         self._open_bytes = 0
         self._open_boundary: int | None = None
         self._scheduled_boundaries: set[int] = set()
 
-    def ingest(self, msg: Message, arrival: int) -> HubRecord:
+    def ingest(self, msg_id: int, arrival: int) -> None:
         """Stamp T2 (cloud clock, no skew) and route per policy."""
-        record = HubRecord(message_id=msg.id, t2=arrival)
-        self.records[msg.id] = record
+        self.table.t2[msg_id] = arrival
         if self.policy.mode == "immediate":
-            self.route_immediate(msg, record)
+            self.route_immediate(msg_id, arrival)
         else:
-            self.route_batched(msg, record)
-        return record
+            self.route_batched(msg_id, arrival)
 
     # --- immediate policy: one blob per message -------------------------
 
-    def route_immediate(self, msg: Message, record: HubRecord) -> None:
+    def route_immediate(self, msg_id: int, t2: int) -> None:
         write_ms = self.policy.write_latency_ms.sample_int(self.rng)
-        t3 = record.t2 + write_ms
-        self.loop.schedule(t3, lambda m=msg, t=t3: self.on_blob([m], t), priority=2)
+        t3 = t2 + write_ms
+        self.loop.schedule(t3, lambda ids=(msg_id,), t=t3: self.on_blob(ids, t), priority=2)
 
     # --- batched policy: window tiling with hold-back --------------------
-
-    def _window_ms(self) -> int | None:
-        if self.policy.window_s is None:
-            return None
-        return round(self.policy.window_s * 1000)
 
     def _boundary_for(self, t2: int) -> int | None:
         """Flush boundary for an arrival: windows tile time from route
         creation (t=0); a message exactly on a boundary joins the batch
         closing there."""
-        window = self._window_ms()
+        window = self._window
         if window is None:
             return None
         return window * max(1, math.ceil(t2 / window))
 
-    def route_batched(self, msg: Message, record: HubRecord) -> None:
-        boundary = self._boundary_for(record.t2)
-        self._open_batch.append(msg)
-        self._open_bytes += msg.payload_bytes
+    def route_batched(self, msg_id: int, t2: int) -> None:
+        boundary = self._boundary_for(t2)
+        self._open_batch.append(msg_id)
+        self._open_bytes += self.table.payload[msg_id]
         if boundary is not None:
             self._open_boundary = boundary
             if boundary not in self._scheduled_boundaries:
@@ -130,7 +117,7 @@ class Hub:
                 self.loop.schedule(boundary, lambda b=boundary: self._window_flush(b), priority=1)
         chunk = self.policy.chunk_bytes
         if chunk is not None and self._open_bytes >= chunk:
-            self._flush(record.t2)
+            self._flush(t2)
 
     def _window_flush(self, boundary: int) -> None:
         # a chunk flush may already have emptied this window's batch
@@ -142,7 +129,6 @@ class Hub:
         self._open_batch = []
         self._open_bytes = 0
         self._open_boundary = None
-        batch.sort(key=lambda m: self.records[m.id].t2)
         t3 = flush_time + round(self.policy.holdback_s * 1000)
         self.loop.schedule(t3, lambda b=batch, t=t3: self.on_blob(b, t), priority=2)
 

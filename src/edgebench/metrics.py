@@ -1,4 +1,4 @@
-"""Per-message metric rows, aggregation, and report serialization.
+"""Per-message run table, metric rows, aggregation, and report serialization.
 
 The five metrics per message: edge compute time, time-in-flight
 (t2 - t1), hub/storage residence (t3 - t2), end-to-end latency
@@ -9,18 +9,22 @@ identity, which the tests lean on heavily.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import asdict, dataclass, fields
+from typing import BinaryIO, Iterator
 
-from .core import SimulationError, TimestampRecord
+import numpy as np
+
+from .core import SimulationError
 
 CSV_COLUMNS = ("id", "c_edge_ms", "t1", "t2", "t3", "flight_ms", "residence_ms", "e2e_ms", "payload_bytes")
 METRIC_NAMES = ("c_edge_ms", "flight_ms", "residence_ms", "e2e_ms", "payload_bytes")
 SCHEMA_VERSION = 1
+UNSET = -(2**63)  # a RunTable cell not yet written; timestamps can be negative under skew
+CSV_CHUNK = 4096  # rows formatted per write; bounds the export's memory
 
 
 class IncompleteRecord(SimulationError):
@@ -29,6 +33,36 @@ class IncompleteRecord(SimulationError):
 
 class EmptyRun(SimulationError):
     pass
+
+
+class RunTable:
+    """A run's per-message state: one int64 column per quantity, indexed by message id.
+
+    ``c_edge``, ``t1``, ``t2``, ``t3`` (ms), ``payload`` (bytes) and
+    ``blob`` (the index of the blob that holds the message) start as
+    ``UNSET``; ``dropped`` is 1 for a message the link lost. Rows
+    ``[0, started)`` are the items the run has started. The drivers, the
+    hub and the blob store write single cells; reports read whole columns
+    through :meth:`column`.
+    """
+
+    COLUMNS = ("c_edge", "t1", "t2", "t3", "payload", "blob")
+
+    def __init__(self, capacity: int):
+        unset = array("q", [UNSET])
+        for name in self.COLUMNS:
+            setattr(self, name, unset * capacity)
+        self.dropped = bytearray(capacity)
+        self.started = 0
+
+    def column(self, name: str) -> np.ndarray:
+        """The started rows of a column, as a numpy view (``dropped`` as bool)."""
+        dtype = bool if name == "dropped" else np.int64
+        return np.frombuffer(getattr(self, name), dtype=dtype)[:self.started]
+
+    def delivered(self) -> np.ndarray:
+        """Ids of the started messages the link did not drop, ascending."""
+        return np.flatnonzero(~self.column("dropped"))
 
 
 @dataclass(frozen=True)
@@ -44,22 +78,41 @@ class MetricRow:
     payload_bytes: int
 
 
-def finalize_row(ts: TimestampRecord, payload_bytes: int, msg_id: int) -> MetricRow:
-    """Compute one metric row from a completed timestamp record."""
-    if not ts.complete():
-        missing = [n for n in ("t1", "t2", "t3") if getattr(ts, n) is None]
-        raise IncompleteRecord(f"message {msg_id}: missing timestamps {missing}")
-    return MetricRow(
-        id=msg_id,
-        c_edge_ms=ts.c_edge,
-        t1=ts.t1,
-        t2=ts.t2,
-        t3=ts.t3,
-        flight_ms=ts.t2 - ts.t1,
-        residence_ms=ts.t3 - ts.t2,
-        e2e_ms=ts.c_edge + (ts.t3 - ts.t1),
-        payload_bytes=payload_bytes,
-    )
+def finalize_row(table: RunTable) -> None:
+    """Check that every delivered message carries all three timestamps.
+
+    Raises IncompleteRecord naming the first message that misses one, so
+    a run never hides a lost message.
+    """
+    ids = table.delivered()
+    missing = {name: table.column(name)[ids] == UNSET for name in ("t1", "t2", "t3")}
+    incomplete = np.flatnonzero(np.logical_or.reduce(list(missing.values())))
+    if incomplete.size:
+        first = incomplete[0]
+        names = [name for name, mask in missing.items() if mask[first]]
+        raise IncompleteRecord(f"message {ids[first]}: missing timestamps {names}")
+
+
+def _metric_columns(table: RunTable, ids: np.ndarray) -> Iterator[np.ndarray]:
+    """The CSV_COLUMNS of messages ``ids``, one int64 array at a time."""
+    def take(name):
+        return table.column(name)[ids]
+
+    yield ids
+    yield take("c_edge")
+    yield take("t1")
+    yield take("t2")
+    yield take("t3")
+    yield take("t2") - take("t1")
+    yield take("t3") - take("t2")
+    yield take("c_edge") + (take("t3") - take("t1"))
+    yield take("payload")
+
+
+def metric_rows(table: RunTable) -> list[MetricRow]:
+    """One MetricRow per delivered message, in id order."""
+    columns = [column.tolist() for column in _metric_columns(table, table.delivered())]
+    return [MetricRow(*values) for values in zip(*columns)]
 
 
 def nearest_rank(sorted_values: list, pct: float):
@@ -69,20 +122,17 @@ def nearest_rank(sorted_values: list, pct: float):
     return sorted_values[rank - 1]
 
 
-@dataclass(frozen=True)
-class Aggregate:
-    mean: float
-    median: float
-    p95: float
+def _summary(column: np.ndarray) -> dict:
+    """Mean, nearest-rank median and p95 of an int64 column, which is sorted in place.
 
-    @classmethod
-    def of(cls, values: list) -> "Aggregate":
-        ordered = sorted(values)
-        return cls(
-            mean=sum(values) / len(values),
-            median=float(nearest_rank(ordered, 50)),
-            p95=float(nearest_rank(ordered, 95)),
-        )
+    The mean divides the exact integer sum, as a sum of Python ints would.
+    """
+    n = column.size
+    exact = max(-int(column.min()), int(column.max())) <= (2**63 - 1) // n  # no int64 overflow
+    total = int(column.sum()) if exact else sum(column.tolist())
+    column.sort()
+    return {"mean": total / n, "median": float(nearest_rank(column, 50)),
+            "p95": float(nearest_rank(column, 95))}
 
 
 @dataclass
@@ -108,39 +158,11 @@ class RunReport:
             self.fingerprint = config_fingerprint(self.config)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "label": self.label,
-            "pipeline": self.pipeline,
-            "seed": self.seed,
-            "fingerprint": self.fingerprint,
-            "config": self.config,
-            "aggregates": self.aggregates,
-            "ledger": self.ledger,
-            "resources": self.resources,
-            "message_count": self.message_count,
-            "blob_count": self.blob_count,
-            "dropped_count": self.dropped_count,
-            "duration_ms": self.duration_ms,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunReport":
-        return cls(
-            label=doc["label"],
-            pipeline=doc["pipeline"],
-            seed=doc["seed"],
-            config=doc["config"],
-            aggregates=doc["aggregates"],
-            ledger=doc["ledger"],
-            resources=doc["resources"],
-            message_count=doc["message_count"],
-            blob_count=doc["blob_count"],
-            dropped_count=doc["dropped_count"],
-            duration_ms=doc["duration_ms"],
-            fingerprint=doc["fingerprint"],
-            schema=doc["schema"],
-        )
+        return cls(**{f.name: doc[f.name] for f in fields(cls)})
 
 
 def config_fingerprint(config: dict) -> str:
@@ -150,7 +172,7 @@ def config_fingerprint(config: dict) -> str:
 
 
 def aggregate(
-    rows: list[MetricRow],
+    table: RunTable,
     *,
     label: str = "run",
     pipeline: str = "edge",
@@ -159,17 +181,14 @@ def aggregate(
     ledger: dict | None = None,
     resources: dict | None = None,
     blob_count: int = 0,
-    dropped_count: int = 0,
     duration_ms: int = 0,
 ) -> RunReport:
-    """Aggregate metric rows into a RunReport (mean / median / p95)."""
-    if not rows:
+    """Aggregate the delivered messages of a run table into a RunReport (mean / median / p95)."""
+    ids = table.delivered()
+    if not ids.size:
         raise EmptyRun("cannot aggregate an empty run")
-    aggregates = {}
-    for name in METRIC_NAMES:
-        values = [getattr(r, name) for r in rows]
-        agg = Aggregate.of(values)
-        aggregates[name] = {"mean": agg.mean, "median": agg.median, "p95": agg.p95}
+    columns = zip(CSV_COLUMNS, _metric_columns(table, ids))
+    aggregates = {name: _summary(column) for name, column in columns if name in METRIC_NAMES}
     return RunReport(
         label=label,
         pipeline=pipeline,
@@ -178,21 +197,25 @@ def aggregate(
         aggregates=aggregates,
         ledger=ledger or {"sources": {}, "total": {"payload_bytes": 0, "overhead_bytes": 0, "transmitted_bytes": 0}},
         resources=resources,
-        message_count=len(rows),
+        message_count=ids.size,
         blob_count=blob_count,
-        dropped_count=dropped_count,
+        dropped_count=int(table.column("dropped").sum()),
         duration_ms=duration_ms,
     )
 
 
-def rows_to_csv(rows: list[MetricRow]) -> bytes:
-    """Fixed-column CSV; byte-identical for identical runs."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow([getattr(row, col) for col in CSV_COLUMNS])
-    return buf.getvalue().encode("utf-8")
+def rows_to_csv(table: RunTable, out: BinaryIO) -> None:
+    """Write the fixed-column CSV of the delivered messages to ``out``.
+
+    Rows are formatted CSV_CHUNK at a time; the bytes are identical for
+    identical runs.
+    """
+    out.write((",".join(CSV_COLUMNS) + "\n").encode())
+    line = ",".join(["%d"] * len(CSV_COLUMNS)) + "\n"
+    ids = table.delivered()
+    for start in range(0, ids.size, CSV_CHUNK):
+        chunk = np.column_stack(list(_metric_columns(table, ids[start:start + CSV_CHUNK])))
+        out.write((line * len(chunk) % tuple(chunk.ravel().tolist())).encode())
 
 
 def report_to_json(report: RunReport) -> bytes:

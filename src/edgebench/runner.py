@@ -4,25 +4,27 @@ The drivers wire the workload, link, hub (or cloud function) and blob
 store together over a clock and event loops. Virtual mode runs them on
 ``Clock`` and one ``EventLoop``; live mode (``live.py``) runs them on a
 wall clock, with the device's item chain on a thread of its own. Both
-end in the same step, which turns every delivered message into a metric
-row and aggregates the rows into a RunReport. In virtual mode identical
-seed and config produce identical results, field-for-field and
-byte-for-byte.
+write each message's timestamps, payload size and blob into one RunTable
+and end in the same step, which checks the table and aggregates its
+delivered messages into a RunReport. In virtual mode identical seed and
+config produce identical results, field-for-field and byte-for-byte.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .cloud import time_cloud_item
 from .config import ScenarioConfig
-from .core import Clock, EventLoop, Message, SeededRng, TimestampRecord, to_ms
+from .core import Clock, EventLoop, SeededRng, to_ms
 from .hub import Hub
-from .metrics import MetricRow, RunReport, aggregate, finalize_row, report_to_json, rows_to_csv
+from .metrics import (MetricRow, RunReport, RunTable, aggregate, finalize_row, metric_rows,
+                      report_to_json, rows_to_csv)
 from .network import DROPPED, ByteLedger, Link, ledger_report
 from .storage import BlobStore
 from .workloads import run_item, synthesize_body
@@ -35,9 +37,13 @@ RESOURCE_CHUNK = 1024  # resource samples drawn per block; bounds the replay's m
 @dataclass
 class RunResult:
     report: RunReport
-    rows: list[MetricRow]
+    table: RunTable
     store: BlobStore
-    records: dict[int, TimestampRecord]
+
+    @cached_property
+    def rows(self) -> list[MetricRow]:
+        """One MetricRow per delivered message, in id order; built on first access."""
+        return metric_rows(self.table)
 
 
 @dataclass
@@ -47,11 +53,9 @@ class Run:
     config: ScenarioConfig
     root: SeededRng
     link: Link
+    table: RunTable
     store: BlobStore
     hub: Hub | None = None
-    records: dict[int, TimestampRecord] = field(default_factory=dict)
-    payloads: dict[int, int] = field(default_factory=dict)
-    dropped: set[int] = field(default_factory=set)
 
 
 def run_scenario(config: ScenarioConfig, persist_blobs: str | Path | None = None) -> RunResult:
@@ -86,27 +90,24 @@ def start_run(config: ScenarioConfig, clock, loop, device_loop, seed: int,
     """
     root = SeededRng(seed)
     link = Link(config.link, ByteLedger(), root.substream("link"))
-    store = BlobStore(envelope_bytes=config.blob_envelope_bytes, persist_dir=persist_blobs)
-    run = Run(config, root, link, store)
+    table = RunTable(config.workload.items)
+    store = BlobStore(table, config.route, config.blob_envelope_bytes, persist_blobs)
+    run = Run(config, root, link, table, store)
     drive = _drive_edge if config.pipeline == "edge" else _drive_cloud
     drive(run, clock, loop, device_loop)
     return run
 
 
 def finish_run(run: Run, duration_ms: int, resources: dict | None) -> RunResult:
-    """Metric rows of every delivered message, aggregated into the report.
+    """Aggregate the run table's delivered messages into the report.
 
     A delivered message that misses a timestamp raises IncompleteRecord,
     so a run never hides a lost message.
     """
     config = run.config
-    rows = [
-        finalize_row(ts, run.payloads[mid], mid)
-        for mid, ts in sorted(run.records.items())
-        if mid not in run.dropped
-    ]
+    finalize_row(run.table)
     report = aggregate(
-        rows,
+        run.table,
         label=config.label,
         pipeline=config.pipeline,
         seed=config.seed if config.seed is not None else 0,
@@ -114,48 +115,39 @@ def finish_run(run: Run, duration_ms: int, resources: dict | None) -> RunResult:
         ledger=ledger_report(run.link.ledger),
         resources=resources,
         blob_count=len(run.store),
-        dropped_count=len(run.dropped),
         duration_ms=duration_ms,
     )
-    return RunResult(report=report, rows=rows, store=run.store, records=run.records)
+    return RunResult(report=report, table=run.table, store=run.store)
 
 
 def _drive_edge(run: Run, clock, loop, device_loop) -> None:
-    config = run.config
-    spec = config.workload
+    spec = run.config.workload
     wl_rng = run.root.substream("workload")
-    link, store, records, payloads, dropped = run.link, run.store, run.records, run.payloads, run.dropped
-
-    def on_blob(messages, created_at):
-        t2_by_id = {m.id: records[m.id].t2 for m in messages}
-        name = store.next_name(config.route, messages)
-        store.create_blob(name, messages, created_at, t2_by_id)
-        for m in messages:
-            records[m.id].t3 = created_at
-
-    hub = run.hub = Hub(config.hub, loop, run.root.substream("hub"), on_blob)
+    link, table, store = run.link, run.table, run.store
+    c_edge_col, t1_col, payload_col, dropped = table.c_edge, table.t1, table.payload, table.dropped
+    bodies = store.bodies if store.persist_dir is not None else None
+    hub = run.hub = Hub(run.config.hub, loop, run.root.substream("hub"), table, store.create_blob)
 
     def start_item(idx):
-        record, msg = run_item(spec, idx, clock, wl_rng, source=DEVICE)
-        records[msg.id] = TimestampRecord(t1=msg.t1, c_edge=record.c_edge_ms)
-        payloads[msg.id] = msg.payload_bytes
+        c_edge, msg = run_item(spec, idx, clock, wl_rng, source=DEVICE)
+        payload = msg.payload_bytes
+        table.started = idx + 1
+        c_edge_col[idx], t1_col[idx], payload_col[idx] = c_edge, msg.t1, payload
+        if bodies is not None:
+            bodies[idx] = synthesize_body(DEVICE, idx, payload) if msg.body is None else msg.body
         send_time = msg.t1 - clock.skew_edge_ms  # true instant: the edge stamp without skew
 
-        def emit(m=msg, st=send_time):
-            arrival = link.deliver(m.source, m.payload_bytes, st)
+        def emit():
+            arrival = link.deliver(DEVICE, payload, send_time)
             if arrival is DROPPED:
-                dropped.add(m.id)
+                dropped[idx] = 1
                 return
-            loop.schedule(arrival, lambda: _arrive(m, arrival), priority=0)
+            loop.schedule(arrival, lambda: hub.ingest(idx, arrival), priority=0)
 
         device_loop.schedule(send_time, emit, priority=0)
         if idx + 1 < spec.items:
             gap = spec.gap_ms(wl_rng)
             device_loop.schedule(send_time + gap, lambda i=idx + 1: start_item(i), priority=0)
-
-    def _arrive(msg, arrival):
-        records[msg.id].t2 = arrival
-        hub.ingest(msg, arrival)
 
     device_loop.schedule(round(spec.warmup_delay_s * 1000), lambda: start_item(0), priority=0)
 
@@ -166,7 +158,8 @@ def _drive_cloud(run: Run, clock, loop, device_loop) -> None:
     profile = config.cloud_function
     wl_rng = run.root.substream("workload")
     cloud_rng = run.root.substream("cloud")
-    ledger, store, records, payloads = run.link.ledger, run.store, run.records, run.payloads
+    ledger, table, store = run.link.ledger, run.table, run.store
+    bodies = store.bodies if store.persist_dir is not None else None
 
     def start_upload(idx):
         input_bytes = spec.input_bytes_per_item.sample_int(wl_rng)
@@ -174,21 +167,19 @@ def _drive_cloud(run: Run, clock, loop, device_loop) -> None:
         upload_start = clock.now
         timing = time_cloud_item(spec, profile, config.link, upload_start, input_bytes, cloud_rng)
         t2, t3 = timing.t2, timing.t3
-        records[idx] = TimestampRecord(t1=clock.edge_stamp(upload_start), c_edge=0)
-        payloads[idx] = result_bytes
+        table.started = idx + 1
+        table.c_edge[idx], table.t1[idx] = 0, clock.edge_stamp(upload_start)
+        table.payload[idx] = result_bytes
+        if bodies is not None:
+            bodies[idx] = synthesize_body(DEVICE, idx, result_bytes)
 
-        def upload_done(i=idx):
+        def upload_done():
             ledger.record(DEVICE, input_bytes, config.link.per_message_overhead_bytes)
-            records[i].t2 = t2
+            table.t2[idx] = t2
 
-        def write_result(i=idx, rb=result_bytes):
-            ledger.record(CLOUD_FUNCTION_SOURCE, rb, 0)
-            msg = Message(id=i, source=DEVICE, payload_bytes=rb, overhead_bytes=0,
-                          body=synthesize_body(DEVICE, i, rb))
-            msg.stamp_t1(records[i].t1)
-            name = store.next_name(config.route, [msg])
-            store.create_blob(name, [msg], t3, {i: t2})
-            records[i].t3 = t3
+        def write_result():
+            ledger.record(CLOUD_FUNCTION_SOURCE, result_bytes, 0)
+            store.create_blob((idx,), t3)
 
         loop.schedule(t2, upload_done, priority=0)
         loop.schedule(t3, write_result, priority=2)
@@ -234,7 +225,8 @@ def write_artifacts(result: RunResult, out_dir: str | Path, charts: bool = True)
     out.mkdir(parents=True, exist_ok=True)
     paths = {}
     csv_path = out / "metrics.csv"
-    csv_path.write_bytes(rows_to_csv(result.rows))
+    with csv_path.open("wb") as fh:
+        rows_to_csv(result.table, fh)
     paths["csv"] = csv_path
     json_path = out / "report.json"
     json_path.write_bytes(report_to_json(result.report))

@@ -71,16 +71,6 @@ class WorkloadSpec:
 
 
 @dataclass
-class ComputeRecord:
-    """Per-item edge compute outcome, one per emitted message."""
-
-    item_index: int
-    c_edge_ms: int
-    payload_bytes: int
-    input_bytes: int
-
-
-@dataclass
 class ResourceProfile:
     """Device CPU/RAM usage replayed into reports in virtual mode."""
 
@@ -146,21 +136,24 @@ def run_item(
     rng: SeededRng,
     *,
     source: str = "device-0",
-) -> tuple[ComputeRecord, Message]:
+) -> tuple[int, Message]:
     """Process one workload item starting at the current clock time.
 
+    Returns the item's edge compute time (ms) and its result message.
     The drawn compute time is spent through ``clock.compute`` (a virtual
     clock takes it as drawn, a wall clock busy-waits it), or, when the
     spec has an ``item_hook``, the hook does the item's real work and its
-    result text is the message body. Items run sequentially: the message
-    carries t1 = edge_stamp(start + c_edge), the instant the edge
-    finishes computing and stamps the send timestamp.
+    result text is the message body. A modeled payload has only a size:
+    its body is None. Items run sequentially: the message carries
+    t1 = edge_stamp(start + c_edge), the instant the edge finishes
+    computing and stamps the send timestamp.
     """
     if idx >= spec.items:
         raise ExhaustedWorkload(f"item {idx} out of range (items={spec.items})")
     start = clock.now
     c_edge = spec.compute_ms.sample_int(rng)
-    input_bytes = spec.input_bytes_per_item.sample_int(rng)
+    spec.input_bytes_per_item.sample_int(rng)  # drawn to keep the stream's order; unused at the edge
+    body = None
     if spec.item_hook is not None:
         body = spec.item_hook(idx)
         c_edge = clock.now - start
@@ -172,8 +165,6 @@ def run_item(
             payload = len(body.encode("utf-8"))
         else:
             payload = spec.result_payload_bytes.sample_int(rng)
-            body = synthesize_body(source, idx, payload)
-    msg = Message(id=idx, source=source, payload_bytes=payload, overhead_bytes=0, body=body)
+    msg = Message(id=idx, source=source, payload_bytes=payload, body=body)
     msg.stamp_t1(clock.edge_stamp(start + c_edge))
-    record = ComputeRecord(idx, c_edge, payload, input_bytes)
-    return record, msg
+    return c_edge, msg

@@ -6,14 +6,15 @@ so these checks combine exact structural properties with calibrated
 fixture reproduction of the derived quantities.
 """
 
+import io
 import re
 import time
 from decimal import Decimal
 
 from edgebench.cli import main as cli_main
 from edgebench.config import load_fixture
-from edgebench.core import SeededRng, TimestampRecord
-from edgebench.metrics import aggregate, finalize_row, report_to_json, rows_to_csv
+from edgebench.core import SeededRng
+from edgebench.metrics import RunTable, aggregate, finalize_row, metric_rows, report_to_json, rows_to_csv
 from edgebench.network import LinkModel
 from edgebench.runner import run_scenario
 
@@ -26,6 +27,12 @@ def _criterion(num, ok, detail):
 
 def run_fixture(name):
     return run_scenario(load_fixture(f"scenarios/{name}"))
+
+
+def csv_bytes(result):
+    out = io.BytesIO()
+    rows_to_csv(result.table, out)
+    return out.getvalue()
 
 
 def test_criterion_1_decomposition_identity():
@@ -42,7 +49,7 @@ def test_criterion_2_determinism(tmp_path):
     for name in ("greengrass-image", "azureedge-audio", "aws-cloud-scalar"):
         a = run_fixture(name)
         b = run_fixture(name)
-        if rows_to_csv(a.rows) != rows_to_csv(b.rows):
+        if csv_bytes(a) != csv_bytes(b):
             _criterion(2, False, f"{name}: metrics.csv differs between runs")
         if report_to_json(a.report) != report_to_json(b.report):
             _criterion(2, False, f"{name}: report.json differs between runs")
@@ -61,8 +68,8 @@ def test_criterion_3_batching_residence():
 
 def test_criterion_4_message_conservation():
     batched = run_fixture("acceptance-10k")
-    emitted = sorted(batched.records.keys())
-    stored = sorted(batched.store.all_message_ids())
+    emitted = list(range(batched.table.started))
+    stored = sorted(mid for blob in batched.store.list_blobs() for mid in blob.message_ids)
     immediate = run_fixture("greengrass-image")
     ok = (stored == emitted
           and immediate.report.blob_count == immediate.report.message_count)
@@ -137,16 +144,19 @@ def test_criterion_8_platform_ordering():
 
 def test_criterion_9_mean_statistics_oracle():
     rng = SeededRng(31)
-    rows = []
-    for i in range(10_000):
+    n = 10_000
+    table = RunTable(n)
+    table.started = n
+    for i in range(n):
         c = int(rng.uniform(0, 5000))
         flight = int(rng.uniform(0, 150))
         residence = int(rng.uniform(0, 120_000))
         t1 = i * 10
-        rows.append(finalize_row(
-            TimestampRecord(t1=t1, t2=t1 + flight, t3=t1 + flight + residence, c_edge=c),
-            payload_bytes=int(rng.uniform(100, 1000)), msg_id=i))
-    report = aggregate(rows)
+        table.c_edge[i], table.t1[i], table.t2[i] = c, t1, t1 + flight
+        table.t3[i], table.payload[i] = t1 + flight + residence, int(rng.uniform(100, 1000))
+    finalize_row(table)
+    report = aggregate(table)
+    rows = metric_rows(table)
     ok = True
     for metric in ("c_edge_ms", "flight_ms", "residence_ms", "e2e_ms", "payload_bytes"):
         values = [getattr(r, metric) for r in rows]

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from edgebench.cli import main
+from test_config import NON_FINITE_OR_MISTYPED
 
 
 def run_cli(capsys, *argv):
@@ -113,6 +114,14 @@ hub:
         code, _, err = run_cli(capsys, "validate", "--config", str(bad))
         assert code == 1
         assert err.startswith("invalid: resources.cores: ")
+
+    @pytest.mark.parametrize("parent, override, match", NON_FINITE_OR_MISTYPED)
+    def test_non_finite_or_mistyped_value_is_invalid(self, capsys, tmp_path, parent, override, match):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(f"extends: scenarios/{parent}\n{override}\n")
+        code, _, err = run_cli(capsys, "validate", "--config", str(bad))
+        assert code == 1
+        assert err.startswith(f"invalid: {match}")
 
 
 class TestCharts:

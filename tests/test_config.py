@@ -30,6 +30,23 @@ hub:
 """
 
 
+# (parent fixture, override, error) for values that passed validation and then crashed or
+# were misread by a run: non-finite numbers and non-string top-level names
+NON_FINITE_OR_MISTYPED = [
+    ("greengrass-image", "workload: {compute_ms: .nan}", "workload.compute_ms: expected a finite number"),
+    ("batch-window-60", "hub: {window_s: .inf}", "hub.window_s: expected a finite number"),
+    ("greengrass-image", "resources: {platform_ram_delta_mb: .nan}",
+     "resources.platform_ram_delta_mb: expected a finite number"),
+    ("greengrass-image", "hub: {write_latency_ms: {normal: [5, .nan]}}",
+     "hub.write_latency_ms: expected a finite number"),
+    ("greengrass-image", "link: {bandwidth_bytes_per_s: .inf}",
+     "link.bandwidth_bytes_per_s: expected a finite number"),
+    ("greengrass-scalar", "output_dir: 5", "output_dir: expected a string"),
+    ("greengrass-scalar", "label: [1, 2]", "label: expected a string"),
+    ("greengrass-scalar", "platform_profile: 7", "platform_profile: expected a string"),
+]
+
+
 def write_config(tmp_path, text, name="scenario.yaml"):
     path = tmp_path / name
     path.write_text(text)
@@ -152,6 +169,7 @@ hub: {mode: immediate}
         ("azureedge-image", "hub: {platform_faithful: 'no'}", "hub.platform_faithful: expected true or false"),
         ("greengrass-image", "cloud_function: {exec_ms: 5}", "cloud_function: the edge pipeline"),
         ("aws-cloud-image", "hub: {mode: immediate}", "hub: the cloud pipeline"),
+        *NON_FINITE_OR_MISTYPED,
     ])
     def test_bad_value_named(self, tmp_path, parent, override, match):
         path = write_config(tmp_path, f"extends: scenarios/{parent}\n{override}\n")

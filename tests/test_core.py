@@ -209,14 +209,14 @@ class TestDistributions:
 
 class TestMessage:
     def test_t1_set_exactly_once(self):
-        msg = Message(id=0, source="d", payload_bytes=10, overhead_bytes=0, body="x")
+        msg = Message(id=0, source="d", payload_bytes=10, body="x")
         msg.stamp_t1(100)
         with pytest.raises(Exception):
             msg.stamp_t1(200)
 
     def test_negative_bytes_rejected(self):
         with pytest.raises(ValueError):
-            Message(id=0, source="d", payload_bytes=-1, overhead_bytes=0, body="")
+            Message(id=0, source="d", payload_bytes=-1)
 
 
 class TestEventLoop:

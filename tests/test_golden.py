@@ -1,12 +1,14 @@
 """Golden digests: every shipped scenario's artifacts, byte for byte.
 
 The sha256 of ``metrics.csv`` and ``report.json`` for each shipped
-scenario fixture at its own seed. A change that is not meant to alter
-any output must leave every digest here unchanged; one that alters
-outputs on purpose re-pins them and says why.
+scenario fixture at its own seed, and of the ``--persist-blobs`` tree of
+one immediate, one batched and one cloud scenario. A change that is not
+meant to alter any output must leave every digest here unchanged; one
+that alters outputs on purpose re-pins them and says why.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -56,3 +58,25 @@ def test_artifact_digests(name, tmp_path):
     paths = write_artifacts(run_scenario(load_fixture(f"scenarios/{name}")), tmp_path, charts=False)
     digests = tuple(hashlib.sha256(paths[key].read_bytes()).hexdigest() for key in ("csv", "json"))
     assert digests == GOLDEN[name]
+
+
+# sha256 over each blob file's path (relative to the tree) and the sha256 of its bytes, in path order
+BLOB_TREES = {
+    "aws-cloud-image": "1d0abd4bb42a300f25807da8aafd9b5291b44d98d2b4e650aa23846dc6b269e3",
+    "batch-window-60": "a161c47c75a9288f18a212c0bb604714fa268cd951b53f5103a1c4c71460e34d",
+    "greengrass-scalar": "5e58ae2ccf1fb288a89f382220b296ea0f0063638d87fbc7dc57005286733448",
+}
+
+
+def tree_digest(root: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(BLOB_TREES))
+def test_persisted_blob_digests(name, tmp_path):
+    run_scenario(load_fixture(f"scenarios/{name}"), persist_blobs=tmp_path)
+    assert tree_digest(tmp_path) == BLOB_TREES[name]

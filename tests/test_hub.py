@@ -2,49 +2,47 @@
 
 import pytest
 
-from edgebench.core import Clock, EventLoop, Message, SeededRng, constant
+from edgebench.core import Clock, EventLoop, SeededRng, constant
 from edgebench.hub import Hub, HubPolicy
+from edgebench.metrics import RunTable
 
 
 def run_hub(policy, arrivals, payload_bytes=100, seed=0):
     """Drive a hub with messages arriving at the given times.
 
-    Returns (hub, blobs) where blobs is a list of (messages, created_at).
+    Returns (table, blobs): the run table the hub stamped T2 into, and a
+    list of (message ids, created_at) per blob.
     """
     clock = Clock()
     loop = EventLoop(clock)
     blobs = []
-    hub = Hub(policy, loop, SeededRng(seed).substream("hub"),
-              lambda msgs, t: blobs.append((msgs, t)))
+    table = RunTable(len(arrivals))
+    hub = Hub(policy, loop, SeededRng(seed).substream("hub"), table,
+              lambda ids, t: blobs.append((list(ids), t)))
     for i, t in enumerate(arrivals):
-        msg = Message(id=i, source="d", payload_bytes=payload_bytes, overhead_bytes=0, body="")
-        msg.stamp_t1(t)
-        loop.schedule(t, lambda m=msg, at=t: hub.ingest(m, at), priority=0)
+        table.payload[i] = payload_bytes
+        loop.schedule(t, lambda i=i, at=t: hub.ingest(i, at), priority=0)
     loop.run()
-    return hub, blobs
+    return table, blobs
 
 
-def residences(hub, blobs):
-    t3 = {}
-    for msgs, created_at in blobs:
-        for m in msgs:
-            t3[m.id] = created_at
-    return {mid: t3[mid] - rec.t2 for mid, rec in hub.records.items()}
+def residences(table, blobs):
+    return {mid: created_at - table.t2[mid] for ids, created_at in blobs for mid in ids}
 
 
 class TestIngest:
     def test_t2_is_arrival(self):
-        hub, _ = run_hub(HubPolicy(mode="immediate"), [1000])
-        assert hub.records[0].t2 == 1000
+        table, _ = run_hub(HubPolicy(mode="immediate"), [1000])
+        assert table.t2[0] == 1000
 
     def test_fifo_order_preserved(self):
-        hub, _ = run_hub(HubPolicy(mode="immediate"), [1000, 1005])
-        assert hub.records[0].t2 < hub.records[1].t2
+        table, _ = run_hub(HubPolicy(mode="immediate"), [1000, 1005])
+        assert table.t2[0] < table.t2[1]
 
     def test_skew_never_touches_t2(self):
         # arrival times are cloud-side; an edge skew shifts t1 only
-        hub, _ = run_hub(HubPolicy(mode="immediate"), [1000])
-        assert hub.records[0].t2 == 1000
+        table, _ = run_hub(HubPolicy(mode="immediate"), [1000])
+        assert table.t2[0] == 1000
 
 
 class TestImmediate:
@@ -59,7 +57,7 @@ class TestImmediate:
     def test_one_blob_per_message(self):
         _, blobs = run_hub(HubPolicy(mode="immediate"), list(range(0, 5000, 10)))
         assert len(blobs) == 500
-        assert all(len(msgs) == 1 for msgs, _ in blobs)
+        assert all(len(ids) == 1 for ids, _ in blobs)
 
 
 class TestBatched:
@@ -68,50 +66,50 @@ class TestBatched:
                          chunk_bytes=chunk)
 
     def test_message_at_window_start_waits_full_window(self):
-        hub, blobs = run_hub(self.windowed(60, holdback_s=0), [0])
+        table, blobs = run_hub(self.windowed(60, holdback_s=0), [0])
         assert blobs[0][1] == 60_000
-        assert residences(hub, blobs)[0] == 60_000
+        assert residences(table, blobs)[0] == 60_000
 
     def test_boundary_tie_joins_closing_batch(self):
         # 59.999 s and exactly 60 s flush together; 60.001 s opens the next window
-        hub, blobs = run_hub(self.windowed(60), [59_999, 60_000, 60_001])
-        assert [m.id for m in blobs[0][0]] == [0, 1]
-        assert [m.id for m in blobs[1][0]] == [2]
+        table, blobs = run_hub(self.windowed(60), [59_999, 60_000, 60_001])
+        assert blobs[0][0] == [0, 1]
+        assert blobs[1][0] == [2]
         assert blobs[0][1] == 60_000
         assert blobs[1][1] == 120_000
 
     def test_holdback_added_after_flush(self):
-        hub, blobs = run_hub(self.windowed(60, holdback_s=60), [30_000])
+        table, blobs = run_hub(self.windowed(60, holdback_s=60), [30_000])
         assert blobs[0][1] == 120_000
-        assert residences(hub, blobs)[0] == 90_000
+        assert residences(table, blobs)[0] == 90_000
 
     def test_chunk_trigger_flushes_mid_window(self):
         policy = self.windowed(60, chunk=250)
-        hub, blobs = run_hub(policy, [1000, 2000, 3000], payload_bytes=100)
+        table, blobs = run_hub(policy, [1000, 2000, 3000], payload_bytes=100)
         # 100+100+100 crosses 250 at the third arrival: immediate flush
         assert blobs[0][1] == 3000
-        assert [m.id for m in blobs[0][0]] == [0, 1, 2]
+        assert blobs[0][0] == [0, 1, 2]
 
     def test_window_phase_unchanged_by_chunk_flush(self):
         policy = self.windowed(60, chunk=250)
-        hub, blobs = run_hub(policy, [1000, 2000, 3000, 10_000], payload_bytes=100)
+        table, blobs = run_hub(policy, [1000, 2000, 3000, 10_000], payload_bytes=100)
         # the message after the chunk flush still flushes at the original boundary
         assert blobs[1][1] == 60_000
-        assert [m.id for m in blobs[1][0]] == [3]
+        assert blobs[1][0] == [3]
 
     def test_every_message_in_exactly_one_blob(self):
         rng = SeededRng(2)
         arrivals = sorted(int(rng.uniform(0, 600_000)) for _ in range(500))
-        hub, blobs = run_hub(self.windowed(60, holdback_s=60), arrivals)
-        ids = [m.id for msgs, _ in blobs for m in msgs]
-        assert sorted(ids) == list(range(500))
-        assert all(len(msgs) >= 1 for msgs, _ in blobs)
+        table, blobs = run_hub(self.windowed(60, holdback_s=60), arrivals)
+        stored = [mid for ids, _ in blobs for mid in ids]
+        assert sorted(stored) == list(range(500))
+        assert all(len(ids) >= 1 for ids, _ in blobs)
 
     def test_residence_bounded_without_chunk_trigger(self):
         rng = SeededRng(3)
         arrivals = sorted(int(rng.uniform(0, 600_000)) for _ in range(300))
-        hub, blobs = run_hub(self.windowed(60, holdback_s=60), arrivals)
-        for r in residences(hub, blobs).values():
+        table, blobs = run_hub(self.windowed(60, holdback_s=60), arrivals)
+        for r in residences(table, blobs).values():
             assert 0 <= r <= (60 + 60) * 1000
 
     def test_mean_residence_converges_to_half_window_plus_holdback(self):
@@ -119,16 +117,16 @@ class TestBatched:
         rng = SeededRng(4)
         n = 10_000
         arrivals = sorted(int(rng.uniform(0, n * 1000)) for _ in range(n))
-        hub, blobs = run_hub(self.windowed(60, holdback_s=60), arrivals)
-        values = list(residences(hub, blobs).values())
+        table, blobs = run_hub(self.windowed(60, holdback_s=60), arrivals)
+        values = list(residences(table, blobs).values())
         mean = sum(values) / len(values)
         expected = (60 / 2 + 60) * 1000
         assert abs(mean - expected) / expected < 0.02
 
     def test_blob_contents_in_t2_order(self):
-        hub, blobs = run_hub(self.windowed(60), [5000, 1000, 9000][::-1])
-        for msgs, _ in blobs:
-            t2s = [hub.records[m.id].t2 for m in msgs]
+        table, blobs = run_hub(self.windowed(60), [5000, 1000, 9000][::-1])
+        for ids, _ in blobs:
+            t2s = [table.t2[mid] for mid in ids]
             assert t2s == sorted(t2s)
 
 

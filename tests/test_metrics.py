@@ -1,18 +1,23 @@
 """Metric rows, aggregation, and export round-trips."""
 
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
-from edgebench.core import SeededRng, TimestampRecord
+from edgebench.core import SeededRng
 from edgebench.metrics import (
+    CSV_CHUNK,
+    CSV_COLUMNS,
     EmptyRun,
     IncompleteRecord,
-    MetricRow,
+    RunTable,
     aggregate,
     config_fingerprint,
     finalize_row,
+    metric_rows,
     nearest_rank,
     report_from_json,
     report_to_json,
@@ -20,23 +25,40 @@ from edgebench.metrics import (
 )
 
 
-def row_from(c_edge, t1, t2, t3, payload=100, mid=0):
-    return finalize_row(TimestampRecord(t1=t1, t2=t2, t3=t3, c_edge=c_edge), payload, mid)
+def table_of(messages):
+    """A RunTable of started messages, one (c_edge, t1, t2, t3, payload) per id; None stays unset."""
+    table = RunTable(len(messages))
+    table.started = len(messages)
+    for mid, values in enumerate(messages):
+        for name, value in zip(("c_edge", "t1", "t2", "t3", "payload"), values):
+            if value is not None:
+                getattr(table, name)[mid] = value
+    return table
 
 
-def synthetic_rows(n, seed=0):
+def row_from(c_edge, t1, t2, t3, payload=100):
+    (row,) = metric_rows(table_of([(c_edge, t1, t2, t3, payload)]))
+    return row
+
+
+def synthetic_messages(n, seed=0):
     rng = SeededRng(seed)
-    rows = []
+    messages = []
     t = 0
-    for i in range(n):
+    for _ in range(n):
         c = int(rng.uniform(0, 500))
         flight = int(rng.uniform(0, 100))
         residence = int(rng.uniform(0, 2000))
         t1 = t + c
-        rows.append(row_from(c, t1, t1 + flight, t1 + flight + residence,
-                             payload=int(rng.uniform(50, 800)), mid=i))
+        messages.append((c, t1, t1 + flight, t1 + flight + residence, int(rng.uniform(50, 800))))
         t += int(rng.uniform(0, 50))
-    return rows
+    return messages
+
+
+def csv_bytes(table):
+    out = io.BytesIO()
+    rows_to_csv(table, out)
+    return out.getvalue()
 
 
 class TestFinalizeRow:
@@ -51,17 +73,18 @@ class TestFinalizeRow:
         assert row.flight_ms == row.residence_ms == row.e2e_ms == 0
 
     def test_incomplete_record(self):
-        with pytest.raises(IncompleteRecord, match="t3"):
-            finalize_row(TimestampRecord(t1=0, t2=10, t3=None), 10, 7)
+        messages = [(0, 0, 10, 20, 10)] * 7 + [(0, 0, 10, None, 10)]
+        with pytest.raises(IncompleteRecord, match=r"message 7: missing timestamps \['t3'\]"):
+            finalize_row(table_of(messages))
 
     def test_decomposition_identity(self):
-        for row in synthetic_rows(2000, seed=9):
+        for row in metric_rows(table_of(synthetic_messages(2000, seed=9))):
             assert row.e2e_ms == row.c_edge_ms + row.flight_ms + row.residence_ms
 
 
 class TestAggregate:
     def rows_with_e2e(self, values):
-        return [row_from(0, 0, 0, v, mid=i) for i, v in enumerate(values)]
+        return table_of([(0, 0, 0, v, 100) for v in values])
 
     def test_simple_mean_median(self):
         report = aggregate(self.rows_with_e2e([10, 20, 30]))
@@ -76,20 +99,24 @@ class TestAggregate:
     def test_uniform_flight_mean_against_oracle(self):
         rng = SeededRng(12)
         flights = [int(rng.uniform(0, 100)) for _ in range(10_000)]
-        rows = [row_from(0, 0, f, f, mid=i) for i, f in enumerate(flights)]
-        report = aggregate(rows)
+        report = aggregate(table_of([(0, 0, f, f, 100) for f in flights]))
         assert abs(report.aggregates["flight_ms"]["mean"] - 50) <= 1
         assert abs(report.aggregates["flight_ms"]["mean"] - float(np.mean(flights))) < 1e-9
 
     def test_permutation_invariance(self):
-        rows = synthetic_rows(500, seed=3)
-        fwd = aggregate(rows).aggregates
-        rev = aggregate(list(reversed(rows))).aggregates
+        messages = synthetic_messages(500, seed=3)
+        fwd = aggregate(table_of(messages)).aggregates
+        rev = aggregate(table_of(messages[::-1])).aggregates
         assert fwd == rev
+
+    def test_means_divide_exact_integer_sums(self):
+        values = [2**62, 2**62 + 1, 3, 2**61]  # their sum overflows int64
+        report = aggregate(self.rows_with_e2e(values))
+        assert report.aggregates["e2e_ms"]["mean"] == sum(values) / len(values)
 
     def test_empty_run(self):
         with pytest.raises(EmptyRun):
-            aggregate([])
+            aggregate(RunTable(0))
 
     def test_nearest_rank_definition(self):
         values = sorted([15, 20, 35, 40, 50])
@@ -100,18 +127,29 @@ class TestAggregate:
 
 class TestExport:
     def test_csv_structure(self):
-        rows = synthetic_rows(25)
-        lines = rows_to_csv(rows).decode().splitlines()
+        lines = csv_bytes(table_of(synthetic_messages(25))).decode().splitlines()
         assert len(lines) == 26  # header + one line per message
         assert lines[0] == "id,c_edge_ms,t1,t2,t3,flight_ms,residence_ms,e2e_ms,payload_bytes"
 
+    def test_csv_equals_csv_module_across_chunks(self):
+        # the chunked writer against the csv module over MetricRows, with a dropped message
+        messages = synthetic_messages(CSV_CHUNK + 3, seed=4)
+        table = table_of(messages)
+        table.dropped[5] = 1
+        reference = io.StringIO()
+        writer = csv.writer(reference, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows([getattr(r, c) for c in CSV_COLUMNS] for r in metric_rows(table))
+        assert csv_bytes(table) == reference.getvalue().encode("utf-8")
+        assert len(metric_rows(table)) == CSV_CHUNK + 2
+
     def test_json_round_trip(self):
-        report = aggregate(synthetic_rows(50), label="rt", seed=5,
+        report = aggregate(table_of(synthetic_messages(50)), label="rt", seed=5,
                            config={"pipeline": "edge", "workload": {"kind": "audio"}})
         assert report_from_json(report_to_json(report)) == report
 
     def test_explicit_nulls(self):
-        report = aggregate(synthetic_rows(3))
+        report = aggregate(table_of(synthetic_messages(3)))
         doc = json.loads(report_to_json(report))
         assert doc["resources"] is None  # absent optional serialized as null
 

@@ -1,5 +1,6 @@
 """End-to-end virtual runs: determinism, conservation, fixture calibration."""
 
+import io
 import json
 
 import pytest
@@ -17,31 +18,39 @@ def run_fixture(name, **overrides):
     return run_scenario(config)
 
 
+def csv_bytes(result):
+    out = io.BytesIO()
+    rows_to_csv(result.table, out)
+    return out.getvalue()
+
+
+def stored_ids(result):
+    return sorted(mid for blob in result.store.list_blobs() for mid in blob.message_ids)
+
+
 class TestDeterminism:
     def test_identical_seed_identical_bytes(self):
         a = run_fixture("greengrass-image")
         b = run_fixture("greengrass-image")
-        assert rows_to_csv(a.rows) == rows_to_csv(b.rows)
+        assert csv_bytes(a) == csv_bytes(b)
         assert report_to_json(a.report) == report_to_json(b.report)
 
     def test_scalar_fixture_deterministic(self):
         a = run_fixture("greengrass-scalar")
         b = run_fixture("greengrass-scalar")
-        assert rows_to_csv(a.rows) == rows_to_csv(b.rows)
+        assert csv_bytes(a) == csv_bytes(b)
 
     def test_different_seed_differs(self):
         a = run_fixture("acceptance-10k")
         b = run_fixture("acceptance-10k", seed=4321)
-        assert rows_to_csv(a.rows) != rows_to_csv(b.rows)
+        assert csv_bytes(a) != csv_bytes(b)
 
 
 class TestConservation:
     @pytest.mark.parametrize("name", ["greengrass-audio", "azureedge-audio", "acceptance-10k"])
     def test_every_message_in_exactly_one_blob(self, name):
         result = run_fixture(name)
-        emitted = sorted(result.records.keys())
-        stored = sorted(result.store.all_message_ids())
-        assert stored == emitted
+        assert stored_ids(result) == list(range(result.table.started))
 
     def test_immediate_mode_blob_count_equals_messages(self):
         result = run_fixture("greengrass-image")
@@ -60,7 +69,7 @@ class TestConservation:
             "hub": {"mode": "batched", "chunk_bytes": 300},
         }
         result = run_scenario(ScenarioConfig.from_dict(doc))
-        assert sorted(result.store.all_message_ids()) == [0, 1, 2, 3, 4]
+        assert stored_ids(result) == [0, 1, 2, 3, 4]
         assert result.report.blob_count == 2  # one chunk flush + the tail
 
     def test_drops_reduce_delivery_but_not_emission(self):
@@ -71,7 +80,8 @@ class TestConservation:
         result = run_scenario(config)
         assert result.report.dropped_count > 0
         assert result.report.message_count + result.report.dropped_count == 500
-        assert len(result.store.all_message_ids()) == result.report.message_count
+        assert len(stored_ids(result)) == result.report.message_count
+        assert result.table.column("dropped").sum() == result.report.dropped_count
 
 
 class TestTimestampOrdering:
@@ -89,10 +99,9 @@ class TestSkewNeutrality:
         config = load_fixture("scenarios/greengrass-audio")
         config.skew_edge_ms = 50
         skewed = run_scenario(config)
-        for mid in base.records:
-            assert skewed.records[mid].t1 == base.records[mid].t1 + 50
-            assert skewed.records[mid].t2 == base.records[mid].t2
-            assert skewed.records[mid].t3 == base.records[mid].t3
+        assert (skewed.table.column("t1") == base.table.column("t1") + 50).all()
+        for name in ("t2", "t3", "blob"):
+            assert (skewed.table.column(name) == base.table.column(name)).all()
         assert skewed.report.ledger == base.report.ledger
         assert [r.id for r in skewed.rows] == [r.id for r in base.rows]
 

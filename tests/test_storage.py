@@ -2,83 +2,104 @@
 
 import json
 
-import pytest
-
-from edgebench.core import Message
-from edgebench.storage import BlobStore, DuplicateBlobName
+from edgebench.metrics import RunTable
+from edgebench.storage import BlobStore
 
 
-def msg(mid, payload=162, t1=0):
-    m = Message(id=mid, source="d", payload_bytes=payload, overhead_bytes=0,
-                body="x" * payload)
-    m.stamp_t1(t1)
-    return m
+def store_of(n=10, payload=162, **kwargs):
+    """A blob store over a run table of ``n`` messages of ``payload`` bytes each."""
+    table = RunTable(n)
+    table.started = n
+    for mid in range(n):
+        table.payload[mid] = payload
+    return BlobStore(table, **kwargs)
 
 
 class TestCreateBlob:
     def test_single_message_size(self):
-        store = BlobStore(envelope_bytes=0)
-        record = store.create_blob("results/0-0.json", [msg(0, 162)], created_at=100)
+        store = store_of(envelope_bytes=0)
+        store.create_blob((0,), created_at=100)
+        (record,) = store.list_blobs()
         assert record.size_bytes == 162
         assert record.message_ids == [0]
+        assert store.table.t3[0] == 100
+        assert store.table.blob[0] == 0
 
     def test_empty_blob_is_envelope_only(self):
-        store = BlobStore(envelope_bytes=64)
-        record = store.create_blob("results/empty.json", [], created_at=5)
+        store = store_of(envelope_bytes=64)
+        store.create_blob((), created_at=5)
+        (record,) = store.list_blobs()
         assert record.size_bytes == 64
         assert record.message_ids == []
 
-    def test_duplicate_name_rejected(self):
-        store = BlobStore()
-        store.create_blob("a.json", [msg(0)], created_at=1)
-        with pytest.raises(DuplicateBlobName):
-            store.create_blob("a.json", [msg(1)], created_at=2)
+    def test_blob_names_are_unique(self):
+        # two blobs that start with the same message still get different names
+        store = store_of()
+        for created_at in range(3):
+            store.create_blob((), created_at=created_at)
+        store.create_blob((0,), created_at=3)
+        names = [r.name for r in store.list_blobs()]
+        assert len(set(names)) == len(names) == 4
 
     def test_names_are_deterministic_and_sortable(self):
-        store = BlobStore()
-        names = [store.next_name("results", [msg(i)]) for i in range(3)]
+        store = store_of(route="results")
+        for i in range(3):
+            store.create_blob((i,), created_at=i)
+        names = [r.name for r in store.list_blobs()]
         assert names == sorted(names)
         assert names[0] == "results/000000-0.json"
 
 
 class TestListBlobs:
     def test_empty_store(self):
-        assert BlobStore().list_blobs() == []
+        assert store_of().list_blobs() == []
 
     def test_sorted_by_time_then_name(self):
-        store = BlobStore()
-        store.create_blob("b", [], created_at=1)
-        store.create_blob("c", [], created_at=2)
-        store.create_blob("a", [], created_at=2)
-        assert [r.name for r in store.list_blobs()] == ["b", "a", "c"]
+        store = store_of()
+        store.create_blob((0,), created_at=2)
+        store.create_blob((1,), created_at=2)
+        store.create_blob((2,), created_at=1)
+        assert [r.message_ids for r in store.list_blobs()] == [[2], [0], [1]]
 
     def test_prefix_filter(self):
-        store = BlobStore()
-        store.create_blob("audio/1", [], created_at=1)
-        store.create_blob("image/1", [], created_at=2)
-        store.create_blob("audio/2", [], created_at=3)
-        assert [r.name for r in store.list_blobs("audio/")] == ["audio/1", "audio/2"]
+        store = store_of(route="audio")
+        store.create_blob((0,), created_at=1)
+        store.create_blob((1,), created_at=2)
+        assert [r.name for r in store.list_blobs("audio/")] == ["audio/000000-0.json",
+                                                                "audio/000001-1.json"]
+        assert store.list_blobs("image/") == []
 
     def test_created_at_non_decreasing_in_insertion_order(self):
-        store = BlobStore()
+        store = store_of()
         for i in range(10):
-            store.create_blob(f"r/{i}", [msg(i)], created_at=i * 100)
+            store.create_blob((i,), created_at=i * 100)
         times = [r.created_at for r in store.list_blobs()]
         assert times == sorted(times)
+
+    def test_listing_is_kept_until_the_next_blob(self):
+        store = store_of()
+        store.create_blob((0, 1), created_at=1)
+        first = store.list_blobs()
+        first[0].message_ids.pop()
+        assert store.list_blobs()[0] is first[0]
+        store.create_blob((2,), created_at=2)
+        assert [r.message_ids for r in store.list_blobs()] == [[0, 1], [2]]
 
 
 class TestPersistence:
     def test_mirror_schema(self, tmp_path):
-        store = BlobStore(persist_dir=tmp_path)
-        store.create_blob("results/000000-0.json", [msg(0, payload=10, t1=42)],
-                          created_at=99, t2_by_id={0: 50})
+        store = store_of(payload=10, persist_dir=tmp_path)
+        store.table.t1[0], store.table.t2[0] = 42, 50
+        store.bodies[0] = "x" * 10
+        store.create_blob((0,), created_at=99)
         path = tmp_path / "results" / "000000-0.json"
         doc = json.loads(path.read_text())
         assert doc["name"] == "results/000000-0.json"
         assert doc["created_at"] == 99
         assert doc["messages"] == [{"id": 0, "t1": 42, "t2": 50, "body": "x" * 10}]
+        assert store.bodies == {}
 
     def test_no_mirror_without_dir(self, tmp_path):
-        store = BlobStore()
-        store.create_blob("x", [msg(0)], created_at=1)
+        store = store_of()
+        store.create_blob((0,), created_at=1)
         assert list(tmp_path.iterdir()) == []

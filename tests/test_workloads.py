@@ -15,6 +15,7 @@ from edgebench.workloads import (
     WorkloadSpec,
     run_item,
     scalar_batch_body,
+    synthesize_body,
 )
 
 
@@ -53,19 +54,20 @@ class TestRunItem:
                             result_payload_bytes=constant(162))
 
     def test_audio_profile_compute(self):
-        record, _ = run_item(self.audio_spec(4770), 0, make_clock(), SeededRng(0))
-        assert record.c_edge_ms == 4770
+        c_edge, _ = run_item(self.audio_spec(4770), 0, make_clock(), SeededRng(0))
+        assert c_edge == 4770
 
     def test_container_platform_compute(self):
-        record, _ = run_item(self.audio_spec(6000), 0, make_clock(), SeededRng(0))
-        assert record.c_edge_ms == 6000
+        c_edge, _ = run_item(self.audio_spec(6000), 0, make_clock(), SeededRng(0))
+        assert c_edge == 6000
 
     def test_image_payload(self):
+        # a modeled payload has a size only; a persisted blob gets a body of exactly that size
         spec = WorkloadSpec(kind="image", items=500, result_payload_bytes=constant(752))
-        record, msg = run_item(spec, 0, make_clock(), SeededRng(0))
-        assert record.payload_bytes == 752
+        _, msg = run_item(spec, 0, make_clock(), SeededRng(0))
         assert msg.payload_bytes == 752
-        assert len(msg.body.encode()) == 752
+        assert msg.body is None
+        assert len(synthesize_body(DEVICE, 0, msg.payload_bytes).encode()) == 752
 
     def test_t1_is_now_plus_compute_plus_skew(self):
         clock = make_clock(skew=25)
@@ -90,11 +92,11 @@ class TestRunItem:
         now = 0
         for idx in range(spec.items):
             clock.advance(now)
-            record, msg = run_item(spec, idx, clock, rng)
+            c_edge, msg = run_item(spec, idx, clock, rng)
             if prev_t1 is not None:
-                assert msg.t1 >= prev_t1 + record.c_edge_ms
+                assert msg.t1 >= prev_t1 + c_edge
             prev_t1 = msg.t1
-            now = now + record.c_edge_ms + spec.gap_ms(rng)
+            now = now + c_edge + spec.gap_ms(rng)
 
     def test_scalar_cadence_follows_interval(self):
         spec = WorkloadSpec(kind="scalar", items=5, scalar_freq_hz=4, scalar_interval_s=2.5)

@@ -34,6 +34,7 @@ import random
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -96,10 +97,10 @@ def time_job(eb) -> tuple[float, dict[str, str]]:
     start = time.perf_counter()
     result = eb.runner.run_scenario(config)
     elapsed = time.perf_counter() - start
-    digests = {
-        "metrics.csv": hashlib.sha256(eb.metrics.rows_to_csv(result.rows)).hexdigest(),
-        "report.json": hashlib.sha256(eb.metrics.report_to_json(result.report)).hexdigest(),
-    }
+    with tempfile.TemporaryDirectory() as out:
+        paths = eb.runner.write_artifacts(result, out, charts=False)
+        digests = {paths[key].name: hashlib.sha256(paths[key].read_bytes()).hexdigest()
+                   for key in ("csv", "json")}
     return elapsed / JOB_ITEMS * 1e9, digests
 
 
@@ -107,7 +108,6 @@ def measure(src: Path) -> dict:
     sys.path.insert(0, str(src))
     import edgebench as eb
     import edgebench.config
-    import edgebench.metrics
     import edgebench.runner
 
     if Path(eb.__file__).resolve().parent != src / "edgebench":
