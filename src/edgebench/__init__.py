@@ -21,7 +21,6 @@ from .core import (
     Distribution,
     EventLoop,
     InvalidDistribution,
-    Message,
     SeededRng,
     SimulationError,
     TimeRegression,
@@ -83,7 +82,6 @@ __all__ = [
     "InvalidRate",
     "Link",
     "LinkModel",
-    "Message",
     "MetricRow",
     "RateCard",
     "ResourceProfile",

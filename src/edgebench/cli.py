@@ -46,12 +46,13 @@ def _default_out() -> str:
 
 
 def _load_scenario(args) -> ScenarioConfig:
-    config = load_config(_resolve_config_path(args.config))
+    """The config with --seed and --mode applied, validated like a config file."""
+    doc = load_config(_resolve_config_path(args.config)).to_dict()
     if args.seed is not None:
-        config.seed = args.seed
-    if getattr(args, "mode", None):
-        config.mode = args.mode
-    return config
+        doc["seed"] = args.seed
+    if args.mode:
+        doc["mode"] = args.mode
+    return ScenarioConfig.from_dict(doc)
 
 
 def cmd_run(args) -> int:

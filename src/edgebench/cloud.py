@@ -35,30 +35,6 @@ class CloudFunctionProfile:
             raise ValueError("memory_mb must be positive")
 
 
-@dataclass
-class CloudItemTiming:
-    """Virtual-time decomposition of one cloud item; all fields ms."""
-
-    upload_start: int
-    upload_ms: int
-    trigger_ms: int
-    exec_ms: int
-    write_ms: int
-
-    @property
-    def t2(self) -> int:
-        """Upload completion = trigger instant."""
-        return self.upload_start + self.upload_ms
-
-    @property
-    def t3(self) -> int:
-        return self.t2 + self.trigger_ms + self.exec_ms + self.write_ms
-
-    @property
-    def e2e_ms(self) -> int:
-        return self.t3 - self.upload_start
-
-
 def time_cloud_item(
     spec: WorkloadSpec,
     profile: CloudFunctionProfile,
@@ -66,14 +42,15 @@ def time_cloud_item(
     upload_start: int,
     input_bytes: int,
     rng: SeededRng,
-) -> CloudItemTiming:
-    """Draw one item's upload/trigger/exec/write decomposition."""
+) -> tuple[int, int]:
+    """Draw one item's upload/trigger/exec/write decomposition; returns ``(t2, t3)``.
+
+    T2 is upload completion (the trigger instant); T3 follows it by the
+    trigger overhead, execution and result write.
+    """
     upload = link.propagation_ms.sample_int(rng)
     upload += link.serialization_ms(input_bytes + link.per_message_overhead_bytes)
-    return CloudItemTiming(
-        upload_start=upload_start,
-        upload_ms=upload,
-        trigger_ms=profile.trigger_overhead_ms.sample_int(rng),
-        exec_ms=profile.exec_ms.sample_int(rng),
-        write_ms=profile.result_write_ms.sample_int(rng),
-    )
+    t2 = upload_start + upload
+    t3 = (t2 + profile.trigger_overhead_ms.sample_int(rng) + profile.exec_ms.sample_int(rng)
+          + profile.result_write_ms.sample_int(rng))
+    return t2, t3

@@ -1,4 +1,4 @@
-"""Shared domain types: virtual clock, seeded RNG, distributions, messages.
+"""Shared domain types: virtual clock, event loop, seeded RNG, distributions.
 
 All durations and timestamps are integer milliseconds. Sub-millisecond
 quantities are rounded half-to-even before entering the event queue.
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,9 +88,8 @@ class SeededRng:
     never draw ahead, and a long run steps back once, over less than a
     fifth of the doubles it drew.
 
-    An instance is not thread-safe: each one is used by a single thread
-    (in live mode the device thread owns the workload, link and cloud
-    streams and the loop thread owns the hub stream).
+    An instance is not thread-safe. A run draws from all of its streams
+    on the one thread that runs its event loop, in both modes.
     """
 
     def __init__(self, seed: int):
@@ -246,56 +245,40 @@ def empirical(values) -> Distribution:
     return Distribution("empirical", (values,))
 
 
-@dataclass
-class Message:
-    """One edge-to-cloud result message.
-
-    ``t1`` is stamped exactly once, before network delivery, with the
-    edge clock (skew included). ``payload_bytes`` excludes framing;
-    framing lives in the link's per-message overhead. ``body`` is the
-    result text when the item produced one (scalar readings, an
-    ``item_hook``'s result) and None when only its size is modeled.
-    """
-
-    id: int
-    source: str
-    payload_bytes: int
-    body: str | None = None
-    t1: int | None = None
-
-    def __post_init__(self):
-        if self.payload_bytes < 0:
-            raise ValueError("payload_bytes must be non-negative")
-
-    def stamp_t1(self, t1: int) -> None:
-        if self.t1 is not None:
-            raise SimulationError(f"message {self.id}: t1 already set")
-        self.t1 = t1
-
-
-@dataclass
 class EventLoop:
-    """Minimal discrete-event loop over a virtual clock.
+    """Minimal discrete-event loop over a clock.
 
     Events at equal timestamps run in (priority, insertion) order;
     arrivals are given a lower priority number than batch flushes so a
     message landing exactly on a window boundary joins the closing batch.
+    The loop moves its clock with ``clock.advance(at_ms)`` before each
+    event: a virtual clock jumps there, a wall clock sleeps until then.
+    ``now`` is the time of the latest event the loop has run (at first,
+    the clock's time), which may trail a wall clock.
     """
 
-    clock: Clock
-    _heap: list = field(default_factory=list)
-    _seq: int = 0
+    def __init__(self, clock):
+        self.clock = clock
+        self.now = clock.now
+        self._heap: list = []
+        self._seq = 0
 
     def schedule(self, at_ms: int, fn, priority: int = 0) -> None:
-        if at_ms < self.clock.now:
-            raise TimeRegression(f"cannot schedule event at {at_ms} ms in the past")
+        if at_ms < self.now:
+            raise TimeRegression(f"cannot schedule event at {at_ms} ms, before the event at {self.now} ms")
         heapq.heappush(self._heap, (at_ms, priority, self._seq, fn))
         self._seq += 1
 
-    def run(self) -> int:
-        """Process events until the queue drains; returns final time."""
-        while self._heap:
-            at_ms, _prio, _seq, fn = heapq.heappop(self._heap)
-            self.clock.advance(at_ms)
+    def run(self, until: int | None = None) -> int:
+        """Process events until the queue drains, or only those due by ``until``.
+
+        Returns the clock's time at the end.
+        """
+        heap = self._heap
+        advance = self.clock.advance
+        while heap and (until is None or heap[0][0] <= until):
+            at_ms, _prio, _seq, fn = heapq.heappop(heap)
+            self.now = at_ms
+            advance(at_ms)
             fn()
         return self.clock.now

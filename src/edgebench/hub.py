@@ -77,8 +77,7 @@ class Hub:
         self._window = None if policy.window_s is None else round(policy.window_s * 1000)
         self._open_batch: list[int] = []
         self._open_bytes = 0
-        self._open_boundary: int | None = None
-        self._scheduled_boundaries: set[int] = set()
+        self._boundary: int | None = None  # the latest boundary with a scheduled flush
 
     def ingest(self, msg_id: int, arrival: int) -> None:
         """Stamp T2 (cloud clock, no skew) and route per policy."""
@@ -110,25 +109,24 @@ class Hub:
         boundary = self._boundary_for(t2)
         self._open_batch.append(msg_id)
         self._open_bytes += self.table.payload[msg_id]
-        if boundary is not None:
-            self._open_boundary = boundary
-            if boundary not in self._scheduled_boundaries:
-                self._scheduled_boundaries.add(boundary)
-                self.loop.schedule(boundary, lambda b=boundary: self._window_flush(b), priority=1)
+        if boundary is not None and boundary != self._boundary:
+            # arrivals come in time order, so boundaries never decrease
+            self._boundary = boundary
+            self.loop.schedule(boundary, lambda b=boundary: self._window_flush(b), priority=1)
         chunk = self.policy.chunk_bytes
         if chunk is not None and self._open_bytes >= chunk:
             self._flush(t2)
 
     def _window_flush(self, boundary: int) -> None:
-        # a chunk flush may already have emptied this window's batch
-        if self._open_batch and self._open_boundary == boundary:
+        # a chunk flush may already have emptied this window's batch; an
+        # open batch at a window flush holds only that window's arrivals
+        if self._open_batch:
             self._flush(boundary)
 
     def _flush(self, flush_time: int) -> None:
         batch = self._open_batch
         self._open_batch = []
         self._open_bytes = 0
-        self._open_boundary = None
         t3 = flush_time + round(self.policy.holdback_s * 1000)
         self.loop.schedule(t3, lambda b=batch, t=t3: self.on_blob(b, t), priority=2)
 

@@ -1,96 +1,65 @@
-"""Live-mode runner: the runner's drivers on a wall clock with real threads.
+"""Live-mode runner: the runner's event loop on a wall clock.
 
-The device's item chain runs on a thread of its own, the cloud side
-(arrivals, hub, result writes) on the calling thread; each thread runs
-its callbacks from a wall-clock loop as they fall due. Compute time is
-burned with a deadline spin loop (approximate, a few percent per item),
-or spent in the workload's ``item_hook``; link delays are modeled, not
-transmitted. Resource usage is sampled from the real process at 1 s
-cadence, so live reports carry measured CPU/RSS instead of replayed
-profiles; without psutil, or in a run shorter than one sample, they
-say why none were taken. Live runs are excluded from the
-exact-determinism guarantees of virtual mode.
+The run's one ``EventLoop`` runs on the calling thread, as in virtual
+mode, but its clock is the wall clock: the loop sleeps until each event
+falls due and runs an event that is already due late. Compute time is
+burned with a deadline spin loop (approximate, a few percent per item)
+that runs the cloud-side events falling due meanwhile, so they run on
+time and their failures end the run at once. A workload's
+``item_hook`` does its work in place of that spin loop and blocks the
+loop: events that fall due during the hook run when it returns, with
+their modeled timestamps unchanged. Link delays and cloud-side times
+(t2, t3) are modeled, not transmitted, so when a cloud-side event runs
+never changes a value. Resource usage is sampled from the real process
+at 1 s cadence on a thread of its own, so live reports carry measured
+CPU/RSS instead of replayed profiles; without psutil, or in a run
+shorter than one sample, they say why none were taken. Live runs are
+excluded from the exact-determinism guarantees of virtual mode.
 """
 
 from __future__ import annotations
 
-import heapq
 import threading
 import time
 from pathlib import Path
 
 from .config import ScenarioConfig
-from .runner import RunResult, finish_run, start_run
+from .core import EventLoop
+from .runner import RunResult, finish_run, run_to_end, start_run
 
 
 class _WallClock:
     """Milliseconds since the run began, with the interface of ``core.Clock``.
 
-    ``stop`` is the run's stop event: once it is set, compute ends early.
+    ``loop`` is the event loop that runs on this clock; compute runs its
+    due events.
     """
 
-    def __init__(self, skew_edge_ms: int, stop: threading.Event):
+    def __init__(self, skew_edge_ms: int):
         self.skew_edge_ms = int(skew_edge_ms)
-        self.stop = stop
         self._base = time.monotonic_ns()
+        self.loop: EventLoop | None = None
 
     @property
     def now(self) -> int:
         return (time.monotonic_ns() - self._base) // 1_000_000
 
+    def advance(self, event_time: int) -> None:
+        """Sleep until ``event_time``; an event already due runs late."""
+        delay_ns = self._base + event_time * 1_000_000 - time.monotonic_ns()
+        if delay_ns > 0:
+            time.sleep(delay_ns / 1e9)
+
     def edge_stamp(self, true_time_ms: int) -> int:
         return true_time_ms + self.skew_edge_ms
 
     def compute(self, c_edge_ms: int) -> int:
-        """Burn CPU until ``c_edge_ms`` have passed or the run stops; returns the elapsed ms."""
+        """Burn CPU for ``c_edge_ms``, running events as they fall due; returns the elapsed ms."""
         start = self.now
         deadline = start + c_edge_ms
-        while self.now < deadline and not self.stop.is_set():
-            pass  # keep the core busy rather than sleeping
+        while (now := self.now) < deadline:
+            self.loop.run(until=now)  # spin rather than sleep: live compute keeps a core busy
         return self.now - start
-
-
-class _WallLoop:
-    """Due-time callback queue that one thread runs against the wall clock.
-
-    Other threads may schedule onto it. ``stop`` is shared by every loop
-    of a run: setting it ends them all early, as when a thread fails.
-    """
-
-    def __init__(self, clock: _WallClock, stop: threading.Event):
-        self.clock = clock
-        self.stop = stop
-        self._heap: list = []
-        self._cond = threading.Condition()
-        self._seq = 0
-
-    def schedule(self, at_ms: int, fn, priority: int = 0) -> None:
-        with self._cond:
-            heapq.heappush(self._heap, (at_ms, priority, self._seq, fn))
-            self._seq += 1
-            self._cond.notify()
-
-    def run(self, feeder: threading.Thread | None = None) -> int:
-        """Run callbacks as they fall due; returns the wall time at the end.
-
-        Ends when no callback is left and ``feeder``, a thread that
-        schedules onto this loop, has ended, or as soon as ``stop`` is set.
-        """
-        while not self.stop.is_set():
-            with self._cond:
-                if not self._heap:
-                    if feeder is None or not feeder.is_alive():
-                        break
-                    self._cond.wait(0.02)
-                    continue
-                due = self._heap[0][0]
-                now = self.clock.now
-                if due > now:
-                    self._cond.wait(min((due - now) / 1000, 0.05))
-                    continue
-                fn = heapq.heappop(self._heap)[3]
-            fn()
-        return self.clock.now
 
 
 class _ResourceSampler(threading.Thread):
@@ -128,41 +97,16 @@ class _ResourceSampler(threading.Thread):
 
 
 def run_live(config: ScenarioConfig, persist_blobs: str | Path | None = None) -> RunResult:
-    """Execute one scenario against the wall clock.
-
-    A failure in either thread stops both; it is raised here once every
-    thread the run started has ended.
-    """
-    stop = threading.Event()
-    clock = _WallClock(config.skew_edge_ms, stop)
-    loop = _WallLoop(clock, stop)
-    device_loop = _WallLoop(clock, stop)
+    """Execute one scenario against the wall clock; a failure anywhere ends the run at once."""
+    clock = _WallClock(config.skew_edge_ms)
+    loop = clock.loop = EventLoop(clock)
     seed = config.seed if config.seed is not None else time.time_ns() & (2**63 - 1)
-    run = start_run(config, clock, loop, device_loop, seed, persist_blobs)
-    failures: list[BaseException] = []
-
-    def device():
-        try:
-            device_loop.run()
-        except BaseException as exc:  # re-raised on the calling thread below
-            failures.append(exc)
-            stop.set()
-
-    device_thread = threading.Thread(target=device, name="edgebench-device")
+    run = start_run(config, loop, seed, persist_blobs)
     sampler = _ResourceSampler()
     sampler.start()
-    device_thread.start()
     try:
-        loop.run(feeder=device_thread)
-        if not failures and run.hub is not None and run.hub.flush_open(clock.now):
-            loop.run()  # chunk-only routes: write the tail batch
-    except BaseException:
-        stop.set()  # end the device thread too
-        raise
+        duration_ms = run_to_end(run, loop)
     finally:
-        device_thread.join()
         sampler.stop.set()
         sampler.join()
-    if failures:
-        raise failures[0]
-    return finish_run(run, clock.now, sampler.summary())
+    return finish_run(run, duration_ms, sampler.summary())

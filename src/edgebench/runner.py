@@ -1,13 +1,13 @@
 """Scenario orchestration: one edge driver and one cloud driver for both clocks.
 
 The drivers wire the workload, link, hub (or cloud function) and blob
-store together over a clock and event loops. Virtual mode runs them on
-``Clock`` and one ``EventLoop``; live mode (``live.py``) runs them on a
-wall clock, with the device's item chain on a thread of its own. Both
-write each message's timestamps, payload size and blob into one RunTable
-and end in the same step, which checks the table and aggregates its
-delivered messages into a RunReport. In virtual mode identical seed and
-config produce identical results, field-for-field and byte-for-byte.
+store together over one ``EventLoop``. Virtual mode runs the loop on
+``Clock``; live mode (``live.py``) runs the same loop, on the same
+thread, on a wall clock. Both write each message's timestamps, payload
+size and blob into one RunTable, run the loop to its end in the same
+step and finish in the same step, which checks the table and aggregates
+its delivered messages into a RunReport. In virtual mode identical seed
+and config produce identical results, field-for-field and byte-for-byte.
 """
 
 from __future__ import annotations
@@ -69,24 +69,19 @@ def run_scenario(config: ScenarioConfig, persist_blobs: str | Path | None = None
     if config.workload.item_hook is not None:
         raise ValueError("workload.item_hook does real work, which needs live mode")
 
-    clock = Clock(skew_edge_ms=config.skew_edge_ms)
-    loop = EventLoop(clock)
-    run = start_run(config, clock, loop, loop, config.seed, persist_blobs)
-    duration_ms = loop.run()
-    if run.hub is not None and run.hub.flush_open(clock.now):
-        duration_ms = loop.run()  # chunk-only routes: write the tail batch
+    loop = EventLoop(Clock(skew_edge_ms=config.skew_edge_ms))
+    run = start_run(config, loop, config.seed, persist_blobs)
+    duration_ms = run_to_end(run, loop)
     return finish_run(run, duration_ms, _replay_resources(config, run.root, duration_ms))
 
 
-def start_run(config: ScenarioConfig, clock, loop, device_loop, seed: int,
+def start_run(config: ScenarioConfig, loop: EventLoop, seed: int,
               persist_blobs: str | Path | None) -> Run:
-    """Set up a run and schedule its first item on ``device_loop``.
+    """Set up a run and schedule its first item on ``loop``.
 
-    ``device_loop`` runs the device's item chain (compute, send, next
-    item); ``loop`` runs the cloud side (arrivals, hub, uploads, result
-    writes). Both have ``schedule``; ``clock`` has ``now``,
-    ``edge_stamp`` and ``compute``. Virtual mode passes one EventLoop as
-    both loops.
+    The loop runs both the device's item chain (compute, send, next
+    item) and the cloud side (arrivals, hub, uploads, result writes).
+    Its clock has ``now``, ``advance``, ``edge_stamp`` and ``compute``.
     """
     root = SeededRng(seed)
     link = Link(config.link, ByteLedger(), root.substream("link"))
@@ -94,8 +89,20 @@ def start_run(config: ScenarioConfig, clock, loop, device_loop, seed: int,
     store = BlobStore(table, config.route, config.blob_envelope_bytes, persist_blobs)
     run = Run(config, root, link, table, store)
     drive = _drive_edge if config.pipeline == "edge" else _drive_cloud
-    drive(run, clock, loop, device_loop)
+    drive(run, loop)
     return run
+
+
+def run_to_end(run: Run, loop: EventLoop) -> int:
+    """Run the loop until no event is left; returns the clock's time then.
+
+    On a chunk-only route the open tail batch is then written, which
+    takes a second pass.
+    """
+    duration_ms = loop.run()
+    if run.hub is not None and run.hub.flush_open(loop.clock.now):
+        duration_ms = loop.run()
+    return duration_ms
 
 
 def finish_run(run: Run, duration_ms: int, resources: dict | None) -> RunResult:
@@ -120,7 +127,8 @@ def finish_run(run: Run, duration_ms: int, resources: dict | None) -> RunResult:
     return RunResult(report=report, table=run.table, store=run.store)
 
 
-def _drive_edge(run: Run, clock, loop, device_loop) -> None:
+def _drive_edge(run: Run, loop: EventLoop) -> None:
+    clock = loop.clock
     spec = run.config.workload
     wl_rng = run.root.substream("workload")
     link, table, store = run.link, run.table, run.store
@@ -129,13 +137,12 @@ def _drive_edge(run: Run, clock, loop, device_loop) -> None:
     hub = run.hub = Hub(run.config.hub, loop, run.root.substream("hub"), table, store.create_blob)
 
     def start_item(idx):
-        c_edge, msg = run_item(spec, idx, clock, wl_rng, source=DEVICE)
-        payload = msg.payload_bytes
+        c_edge, t1, payload, body = run_item(spec, idx, clock, wl_rng)
         table.started = idx + 1
-        c_edge_col[idx], t1_col[idx], payload_col[idx] = c_edge, msg.t1, payload
+        c_edge_col[idx], t1_col[idx], payload_col[idx] = c_edge, t1, payload
         if bodies is not None:
-            bodies[idx] = synthesize_body(DEVICE, idx, payload) if msg.body is None else msg.body
-        send_time = msg.t1 - clock.skew_edge_ms  # true instant: the edge stamp without skew
+            bodies[idx] = synthesize_body(DEVICE, idx, payload) if body is None else body
+        send_time = t1 - clock.skew_edge_ms  # true instant: the edge stamp without skew
 
         def emit():
             arrival = link.deliver(DEVICE, payload, send_time)
@@ -144,15 +151,16 @@ def _drive_edge(run: Run, clock, loop, device_loop) -> None:
                 return
             loop.schedule(arrival, lambda: hub.ingest(idx, arrival), priority=0)
 
-        device_loop.schedule(send_time, emit, priority=0)
+        loop.schedule(send_time, emit, priority=0)
         if idx + 1 < spec.items:
             gap = spec.gap_ms(wl_rng)
-            device_loop.schedule(send_time + gap, lambda i=idx + 1: start_item(i), priority=0)
+            loop.schedule(send_time + gap, lambda i=idx + 1: start_item(i), priority=0)
 
-    device_loop.schedule(round(spec.warmup_delay_s * 1000), lambda: start_item(0), priority=0)
+    loop.schedule(round(spec.warmup_delay_s * 1000), lambda: start_item(0), priority=0)
 
 
-def _drive_cloud(run: Run, clock, loop, device_loop) -> None:
+def _drive_cloud(run: Run, loop: EventLoop) -> None:
+    clock = loop.clock
     config = run.config
     spec = config.workload
     profile = config.cloud_function
@@ -165,8 +173,7 @@ def _drive_cloud(run: Run, clock, loop, device_loop) -> None:
         input_bytes = spec.input_bytes_per_item.sample_int(wl_rng)
         result_bytes = spec.result_payload_bytes.sample_int(wl_rng)
         upload_start = clock.now
-        timing = time_cloud_item(spec, profile, config.link, upload_start, input_bytes, cloud_rng)
-        t2, t3 = timing.t2, timing.t3
+        t2, t3 = time_cloud_item(spec, profile, config.link, upload_start, input_bytes, cloud_rng)
         table.started = idx + 1
         table.c_edge[idx], table.t1[idx] = 0, clock.edge_stamp(upload_start)
         table.payload[idx] = result_bytes
@@ -185,9 +192,9 @@ def _drive_cloud(run: Run, clock, loop, device_loop) -> None:
         loop.schedule(t3, write_result, priority=2)
         if idx + 1 < spec.items:
             gap_ms = to_ms(profile.inter_upload_gap_s.sample(cloud_rng) * 1000)
-            device_loop.schedule(t2 + gap_ms, lambda i=idx + 1: start_upload(i), priority=0)
+            loop.schedule(t2 + gap_ms, lambda i=idx + 1: start_upload(i), priority=0)
 
-    device_loop.schedule(round(spec.warmup_delay_s * 1000), lambda: start_upload(0), priority=0)
+    loop.schedule(round(spec.warmup_delay_s * 1000), lambda: start_upload(0), priority=0)
 
 
 def _replay_resources(config: ScenarioConfig, root: SeededRng, duration_ms: int) -> dict | None:

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Distribution, Message, SeededRng, SimulationError, constant, uniform_span
+from .core import Distribution, SeededRng, SimulationError, constant, uniform_span
 
 WORKLOAD_KINDS = ("scalar", "image", "audio", "custom")
 
@@ -134,17 +134,16 @@ def run_item(
     idx: int,
     clock,
     rng: SeededRng,
-    *,
-    source: str = "device-0",
-) -> tuple[int, Message]:
+) -> tuple[int, int, int, str | None]:
     """Process one workload item starting at the current clock time.
 
-    Returns the item's edge compute time (ms) and its result message.
-    The drawn compute time is spent through ``clock.compute`` (a virtual
-    clock takes it as drawn, a wall clock busy-waits it), or, when the
-    spec has an ``item_hook``, the hook does the item's real work and its
-    result text is the message body. A modeled payload has only a size:
-    its body is None. Items run sequentially: the message carries
+    Returns ``(c_edge, t1, payload_bytes, body)``: the item's edge
+    compute time (ms), its send timestamp, the size of its result and
+    the result text. The drawn compute time is spent through
+    ``clock.compute`` (a virtual clock takes it as drawn, a wall clock
+    busy-waits it), or, when the spec has an ``item_hook``, the hook does
+    the item's real work and its result text is the body. A modeled
+    payload has only a size: its body is None. Items run sequentially:
     t1 = edge_stamp(start + c_edge), the instant the edge finishes
     computing and stamps the send timestamp.
     """
@@ -165,6 +164,4 @@ def run_item(
             payload = len(body.encode("utf-8"))
         else:
             payload = spec.result_payload_bytes.sample_int(rng)
-    msg = Message(id=idx, source=source, payload_bytes=payload, body=body)
-    msg.stamp_t1(clock.edge_stamp(start + c_edge))
-    return c_edge, msg
+    return c_edge, clock.edge_stamp(start + c_edge), payload, body

@@ -52,6 +52,14 @@ class TestRun:
         assert code == 0
         assert len(list((tmp_path / "blobs" / "results").glob("*.json"))) == 200
 
+    def test_mode_override_is_validated(self, capsys, tmp_path):
+        config = tmp_path / "live.yaml"
+        config.write_text("extends: scenarios/greengrass-scalar\nmode: live\nseed: null\n")
+        code, _, err = run_cli(capsys, "run", "--config", str(config), "--mode", "virtual",
+                               "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err.strip() == "error: seed is required in virtual mode"
+
     def test_missing_config_errors(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "run", "--config", "scenarios/bogus",
                                "--out", str(tmp_path))

@@ -13,7 +13,6 @@ from edgebench.core import (
     Distribution,
     EventLoop,
     InvalidDistribution,
-    Message,
     SeededRng,
     TimeRegression,
     constant,
@@ -207,18 +206,6 @@ class TestDistributions:
         assert to_ms(-3.0) == 0
 
 
-class TestMessage:
-    def test_t1_set_exactly_once(self):
-        msg = Message(id=0, source="d", payload_bytes=10, body="x")
-        msg.stamp_t1(100)
-        with pytest.raises(Exception):
-            msg.stamp_t1(200)
-
-    def test_negative_bytes_rejected(self):
-        with pytest.raises(ValueError):
-            Message(id=0, source="d", payload_bytes=-1)
-
-
 class TestEventLoop:
     def test_monotonic_processing(self):
         clock = Clock()
@@ -256,3 +243,33 @@ class TestEventLoop:
         loop = EventLoop(clock)
         with pytest.raises(TimeRegression):
             loop.schedule(50, lambda: None)
+
+    def test_run_until_leaves_later_events_queued(self):
+        clock = Clock()
+        loop = EventLoop(clock)
+        seen = []
+        for t in (10, 20, 30):
+            loop.schedule(t, lambda t=t: seen.append(t))
+        assert loop.run(until=20) == 20
+        assert seen == [10, 20]
+        assert loop.run() == 30
+        assert seen == [10, 20, 30]
+
+    def test_schedule_is_checked_against_the_running_event_not_the_clock(self):
+        class LateClock:  # a wall clock that reads later than the event it runs
+            now = 0
+
+            def advance(self, at_ms):
+                self.now = at_ms + 500
+
+        loop = EventLoop(LateClock())
+        seen = []
+
+        def at_100():
+            loop.schedule(150, lambda: seen.append(150))  # before the clock's 600, after 100
+            with pytest.raises(TimeRegression):
+                loop.schedule(99, lambda: None)
+
+        loop.schedule(100, at_100)
+        loop.run()
+        assert seen == [150]

@@ -14,6 +14,7 @@ import pytest
 from edgebench.config import ScenarioConfig
 from edgebench.core import constant
 from edgebench.hub import Hub
+from edgebench.live import _ResourceSampler
 from edgebench.metrics import IncompleteRecord
 from edgebench.runner import run_scenario
 
@@ -159,6 +160,23 @@ class TestParity:
             assert row.c_edge_ms >= 18
         bodies = [json.loads(p.read_text())["messages"][0]["body"] for p in tmp_path.rglob("*.json")]
         assert sorted(bodies) == [f"real result {i}" for i in range(5)]
+
+    def test_run_starts_no_thread_but_the_resource_sampler(self):
+        before = set(threading.enumerate())
+        seen = []
+
+        def hook(idx):
+            seen.append((threading.current_thread(), threads_started_since(before)))
+            return "ok"
+
+        config = parity_config("live")
+        config.workload = replace(config.workload, item_hook=hook)
+        run_scenario(config)
+        assert len(seen) == 5
+        for thread, started in seen:
+            assert thread is threading.current_thread()
+            # without psutil the sampler ends at once
+            assert all(isinstance(t, _ResourceSampler) for t in started)
 
     def test_item_hook_rejected_in_virtual_mode(self):
         config = parity_config("virtual")

@@ -33,8 +33,8 @@ class TestScalarBatch:
 
     def test_payload_matches_serialized_length(self):
         spec = WorkloadSpec(kind="scalar", items=1, scalar_freq_hz=12, scalar_interval_s=1)
-        _, msg = run_item(spec, 0, make_clock(), SeededRng(1))
-        assert msg.payload_bytes == len(msg.body.encode("utf-8"))
+        _, _, payload, body = run_item(spec, 0, make_clock(), SeededRng(1))
+        assert payload == len(body.encode("utf-8"))
 
     def test_calibrated_payload_near_234_bytes(self):
         rng = SeededRng(42)
@@ -54,27 +54,27 @@ class TestRunItem:
                             result_payload_bytes=constant(162))
 
     def test_audio_profile_compute(self):
-        c_edge, _ = run_item(self.audio_spec(4770), 0, make_clock(), SeededRng(0))
+        c_edge, *_ = run_item(self.audio_spec(4770), 0, make_clock(), SeededRng(0))
         assert c_edge == 4770
 
     def test_container_platform_compute(self):
-        c_edge, _ = run_item(self.audio_spec(6000), 0, make_clock(), SeededRng(0))
+        c_edge, *_ = run_item(self.audio_spec(6000), 0, make_clock(), SeededRng(0))
         assert c_edge == 6000
 
     def test_image_payload(self):
         # a modeled payload has a size only; a persisted blob gets a body of exactly that size
         spec = WorkloadSpec(kind="image", items=500, result_payload_bytes=constant(752))
-        _, msg = run_item(spec, 0, make_clock(), SeededRng(0))
-        assert msg.payload_bytes == 752
-        assert msg.body is None
-        assert len(synthesize_body(DEVICE, 0, msg.payload_bytes).encode()) == 752
+        _, _, payload, body = run_item(spec, 0, make_clock(), SeededRng(0))
+        assert payload == 752
+        assert body is None
+        assert len(synthesize_body(DEVICE, 0, payload).encode()) == 752
 
     def test_t1_is_now_plus_compute_plus_skew(self):
         clock = make_clock(skew=25)
         clock.advance(1000)
         spec = self.audio_spec(4770)
-        _, msg = run_item(spec, 0, clock, SeededRng(0))
-        assert msg.t1 == 1000 + 4770 + 25
+        _, t1, _, _ = run_item(spec, 0, clock, SeededRng(0))
+        assert t1 == 1000 + 4770 + 25
 
     def test_exhausted(self):
         spec = self.audio_spec(10)
@@ -92,10 +92,10 @@ class TestRunItem:
         now = 0
         for idx in range(spec.items):
             clock.advance(now)
-            c_edge, msg = run_item(spec, idx, clock, rng)
+            c_edge, t1, _, _ = run_item(spec, idx, clock, rng)
             if prev_t1 is not None:
-                assert msg.t1 >= prev_t1 + c_edge
-            prev_t1 = msg.t1
+                assert t1 >= prev_t1 + c_edge
+            prev_t1 = t1
             now = now + c_edge + spec.gap_ms(rng)
 
     def test_scalar_cadence_follows_interval(self):
