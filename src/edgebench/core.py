@@ -1,7 +1,9 @@
 """Shared domain types: virtual clock, event loop, seeded RNG, distributions.
 
 All durations and timestamps are integer milliseconds. Sub-millisecond
-quantities are rounded half-to-even before entering the event queue.
+quantities are rounded half-to-even (``to_ms``) before they become
+timestamps. Distributions are sampled a block of rows at a time
+(``sample_rows``), with the same values as one sample at a time.
 """
 
 from __future__ import annotations
@@ -13,9 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 MS_PER_S = 1000
-_SCALAR_RUN = 64  # doubles in a row a SeededRng draws one at a time
-_MAX_BLOCK = 1024  # doubles a SeededRng draws ahead at most
-_DOUBLE_STEP = 2.0**-53  # numpy's double from a 64-bit output: (bits >> 11) * 2**-53
 
 
 class SimulationError(Exception):
@@ -30,8 +29,14 @@ class InvalidDistribution(SimulationError, ValueError):
     """Raised for malformed distribution parameters."""
 
 
-def to_ms(value: float) -> int:
-    """Round a millisecond quantity half-to-even and clamp at zero."""
+def to_ms(value):
+    """Round a millisecond quantity half-to-even and clamp at zero.
+
+    A float64 array is rounded element by element to an int64 array, with
+    the same results as the scalar form.
+    """
+    if isinstance(value, np.ndarray):
+        return np.maximum(np.rint(value), 0).astype(np.int64)
     return max(0, round(value))
 
 
@@ -60,10 +65,10 @@ class Clock:
         """Timestamp as written by an edge device (true instant plus skew)."""
         return true_time_ms + self.skew_edge_ms
 
-    def compute(self, c_edge_ms: int) -> int:
-        """Edge compute of ``c_edge_ms`` starting now; returns the ms it took.
+    def compute(self, c_edge_ms: np.ndarray) -> np.ndarray:
+        """Edge compute of a block's items, back to back from now; returns the ms each took.
 
-        Virtual compute takes exactly the drawn time and leaves the clock
+        Virtual compute takes exactly the drawn times and leaves the clock
         where it is: the event loop moves it.
         """
         return c_edge_ms
@@ -78,23 +83,15 @@ class SeededRng:
     never perturbs the draws of existing ones. The splitting rule is:
     child entropy = (root_seed, utf-8 bytes of the name).
 
-    ``random`` and ``uniform`` draw the first ``_SCALAR_RUN`` doubles of a
-    run one at a time and serve the rest of the run from blocks drawn
-    ahead with ``Generator.random(k)``, each a quarter of the run so far.
-    Before any other kind of draw the generator is stepped back over the
-    doubles not yet served (PCG64 jumps back exactly), so every draw is
-    value-for-value identical to the same call on an unbuffered
-    ``numpy.random.Generator``. Streams that mix kinds in short runs thus
-    never draw ahead, and a long run steps back once, over less than a
-    fifth of the doubles it drew.
-
-    An instance is not thread-safe. A run draws from all of its streams
-    on the one thread that runs its event loop, in both modes.
+    Every draw is the same call on the stream's ``numpy.random.Generator``,
+    so ``random(n)`` returns the same doubles as ``n`` calls of
+    ``random()``. An instance is not thread-safe; a run draws from all of
+    its streams on the thread that runs its event loop.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._attach(self._make_generator((self._unsigned(),)))
+        self._gen = self._make_generator((self._unsigned(),))
 
     def _unsigned(self) -> int:
         return self.seed & (2**64 - 1)  # SeedSequence wants non-negative entropy
@@ -103,74 +100,25 @@ class SeededRng:
     def _make_generator(entropy: tuple) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
-    def _attach(self, gen: np.random.Generator) -> None:
-        self._gen = gen
-        self._raw = gen.bit_generator.random_raw
-        self._doubles: list[float] = []  # drawn ahead, next one last
-        self._run = 0  # doubles drawn since the last other kind of draw
-
     def substream(self, name: str) -> "SeededRng":
         child = SeededRng.__new__(SeededRng)
         child.seed = self.seed
-        child._attach(self._make_generator((self._unsigned(),) + tuple(name.encode("utf-8"))))
+        child._gen = self._make_generator((self._unsigned(),) + tuple(name.encode("utf-8")))
         return child
 
-    def _refill(self) -> float:
-        """Serve the next double once none are left drawn ahead.
-
-        The first ``_SCALAR_RUN`` doubles of a run are drawn one at a
-        time; after that each block holds a quarter of the run so far.
-        """
-        run = self._run
-        if run < _SCALAR_RUN:
-            self._run = run + 1
-            return (self._raw() >> 11) * _DOUBLE_STEP  # Generator.random() without its call overhead
-        block = min(run // 4, _MAX_BLOCK)
-        self._run = run + block
-        self._doubles = self._gen.random(block)[::-1].tolist()
-        return self._doubles.pop()
-
-    def _return_unused(self) -> None:
-        """Step the generator back over the doubles not yet served."""
-        self._run = 0
-        unused = len(self._doubles)
-        if not unused:
-            return
-        self._doubles = []
-        bits = self._gen.bit_generator
-        kept = bits.state
-        bits.advance(-unused)
-        if kept["has_uint32"]:  # advance() drops the half of a 64-bit output pick() left
-            state = bits.state
-            state["has_uint32"], state["uinteger"] = kept["has_uint32"], kept["uinteger"]
-            bits.state = state
-
-    def random(self) -> float:
-        if self._doubles:
-            return self._doubles.pop()
-        run = self._run
-        if run < _SCALAR_RUN:  # _refill's first branch inlined, so short runs cost no extra call
-            self._run = run + 1
-            return (self._raw() >> 11) * _DOUBLE_STEP
-        return self._refill()
-
-    def random_array(self, n: int) -> np.ndarray:
-        """The next ``n`` draws of :meth:`random`, as one float64 array."""
-        self._return_unused()
+    def random(self, n: int | None = None):
+        """One double in [0, 1), or the next ``n`` of them as a float64 array."""
         return self._gen.random(n)
 
     def uniform(self, a: float, b: float) -> float:
         low, span = uniform_span(a, b)
-        doubles = self._doubles  # not via self.random(), which would count this draw twice
-        return low + span * (doubles.pop() if doubles else self._refill())
+        return low + span * self._gen.random()  # Generator.uniform's formula, without its call overhead
 
     def normal(self, mu: float, sigma: float) -> float:
-        self._return_unused()
-        return float(self._gen.normal(mu, sigma))
+        return self._gen.normal(mu, sigma)
 
     def pick(self, values: list | tuple):
-        self._return_unused()
-        return values[int(self._gen.integers(0, len(values)))]
+        return values[self._gen.integers(0, len(values))]
 
 
 def uniform_span(a: float, b: float) -> tuple[float, float]:
@@ -210,10 +158,6 @@ class Distribution:
             return rng.pick(self.params[0])
         raise InvalidDistribution(f"unknown distribution kind: {self.kind!r}")
 
-    def sample_int(self, rng: SeededRng) -> int:
-        """Integer sample, rounded half-to-even and clamped at zero."""
-        return to_ms(self.sample(rng))
-
     def to_spec(self):
         if self.kind == "constant":
             return {"constant": self.params[0]}
@@ -245,16 +189,46 @@ def empirical(values) -> Distribution:
     return Distribution("empirical", (values,))
 
 
+def sample_rows(rng: SeededRng, dists, n: int, omit_last: int = 0) -> np.ndarray:
+    """``n`` rows of one sample of each of ``dists``, as a float64 array of shape (n, len(dists)).
+
+    The stream advances exactly as ``n`` rounds of ``[d.sample(rng) for d
+    in dists]`` would: row by row, each row in the order of ``dists``.
+    When every kind is constant or uniform the rows come from one block of
+    ``random(k)`` doubles; normal and empirical kinds take a variable
+    number of the generator's outputs, so such rows are drawn one sample
+    at a time. The last row draws none of the last ``omit_last``
+    distributions, whose cells read 0 (a run's last item draws no gap).
+    """
+    if omit_last and n:
+        head = sample_rows(rng, dists, n - 1)
+        last = sample_rows(rng, dists[:len(dists) - omit_last], 1)
+        return np.concatenate([head, np.pad(last, ((0, 0), (0, omit_last)))])
+    if not n:
+        return np.empty((0, len(dists)))
+    if not all(d.kind in ("constant", "uniform") for d in dists):
+        return np.array([[d.sample(rng) for d in dists] for _ in range(n)], dtype=float)
+    uniforms = sum(d.kind == "uniform" for d in dists)
+    draws = iter(rng.random(n * uniforms).reshape(n, uniforms).T) if uniforms else None
+    rows = np.empty((n, len(dists)))
+    for column, d in zip(rows.T, dists):
+        if d.kind == "uniform":
+            low, span = uniform_span(*d.params)
+            column[:] = low + span * next(draws)
+        else:
+            column[:] = d.params[0]
+    return rows
+
+
 class EventLoop:
     """Minimal discrete-event loop over a clock.
 
-    Events at equal timestamps run in (priority, insertion) order;
-    arrivals are given a lower priority number than batch flushes so a
-    message landing exactly on a window boundary joins the closing batch.
-    The loop moves its clock with ``clock.advance(at_ms)`` before each
-    event: a virtual clock jumps there, a wall clock sleeps until then.
-    ``now`` is the time of the latest event the loop has run (at first,
-    the clock's time), which may trail a wall clock.
+    Events run in time order, and events at equal times in the order
+    they were scheduled. The loop moves its clock with
+    ``clock.advance(at_ms)`` before each event: a virtual clock jumps
+    there, a wall clock sleeps until then. ``now`` is the time of the
+    latest event the loop has run (at first, the clock's time), which may
+    trail a wall clock.
     """
 
     def __init__(self, clock):
@@ -263,22 +237,18 @@ class EventLoop:
         self._heap: list = []
         self._seq = 0
 
-    def schedule(self, at_ms: int, fn, priority: int = 0) -> None:
+    def schedule(self, at_ms: int, fn) -> None:
         if at_ms < self.now:
             raise TimeRegression(f"cannot schedule event at {at_ms} ms, before the event at {self.now} ms")
-        heapq.heappush(self._heap, (at_ms, priority, self._seq, fn))
+        heapq.heappush(self._heap, (at_ms, self._seq, fn))
         self._seq += 1
 
-    def run(self, until: int | None = None) -> int:
-        """Process events until the queue drains, or only those due by ``until``.
-
-        Returns the clock's time at the end.
-        """
+    def run(self) -> int:
+        """Process events until the queue drains; returns the clock's time then."""
         heap = self._heap
-        advance = self.clock.advance
-        while heap and (until is None or heap[0][0] <= until):
-            at_ms, _prio, _seq, fn = heapq.heappop(heap)
+        while heap:
+            at_ms, _seq, fn = heapq.heappop(heap)
             self.now = at_ms
-            advance(at_ms)
+            self.clock.advance(at_ms)
             fn()
         return self.clock.now

@@ -8,10 +8,11 @@ constant hold-back delay).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .core import Distribution, SeededRng, constant
+import numpy as np
+
+from .core import Distribution, SeededRng, constant, sample_rows, to_ms
 
 PLATFORM_MIN_WINDOW_S = 60
 PLATFORM_MIN_CHUNK_BYTES = 10 * 1000 * 1000
@@ -41,8 +42,9 @@ class HubPolicy:
         if self.mode == "batched":
             if self.window_s is None and self.chunk_bytes is None:
                 raise ValueError("batched hub needs window_s or chunk_bytes")
-            if self.window_s is not None and self.window_s <= 0:
-                raise ValueError("window_s must be positive")
+            if self.window_s is not None and round(self.window_s * 1000) < 1:
+                raise ValueError(f"window_s must be at least 1 ms once rounded to whole ms, "
+                                 f"got {self.window_s}")
             if self.chunk_bytes is not None and self.chunk_bytes <= 0:
                 raise ValueError("chunk_bytes must be positive")
             if self.holdback_s < 0:
@@ -61,82 +63,110 @@ class HubPolicy:
 
 
 class Hub:
-    """Hub state machine driven by the event loop.
+    """Hub state machine, fed the arrivals of one block of messages at a time.
 
-    ``ingest`` stamps each message's T2 into the run table. ``on_blob``
-    is called as on_blob(ids, created_at) whenever the routed messages
-    reach storage; blob creation time is the T3 source.
+    ``ingest`` stamps each message's T2 into the run table and decides
+    which blob holds it. Decided blobs are handed to ``on_blob`` as
+    on_blob(created_at, first, end), arrays with one entry per blob: its
+    creation time (the T3 source) and the id range ``[first, end)`` whose
+    delivered messages it holds. A batch holds consecutive arrivals, so
+    flush order is also the order of the batches' first ids.
     """
 
-    def __init__(self, policy: HubPolicy, loop, rng: SeededRng, table, on_blob):
+    def __init__(self, policy: HubPolicy, rng: SeededRng, table, on_blob):
         self.policy = policy
-        self.loop = loop
         self.rng = rng
         self.table = table
         self.on_blob = on_blob
         self._window = None if policy.window_s is None else round(policy.window_s * 1000)
-        self._open_batch: list[int] = []
+        self._holdback = round(policy.holdback_s * 1000)
+        self._flushed: list[tuple] = []  # (t3, first, end) of batches not yet handed over
+        self._open: list[int] | None = None  # [first, end) id range of the open batch
         self._open_bytes = 0
-        self._boundary: int | None = None  # the latest boundary with a scheduled flush
+        self._boundary: int | None = None  # the window boundary of the latest arrival
+        self._last_arrival = 0
 
-    def ingest(self, msg_id: int, arrival: int) -> None:
-        """Stamp T2 (cloud clock, no skew) and route per policy."""
-        self.table.t2[msg_id] = arrival
+    def ingest(self, ids: np.ndarray, arrival: np.ndarray) -> None:
+        """Stamp T2 (cloud clock, no skew) of messages ``ids``, which arrive in that order, and route them."""
+        self.table.t2[ids] = arrival
+        if not ids.size:
+            return
+        self._last_arrival = int(arrival[-1])
         if self.policy.mode == "immediate":
-            self.route_immediate(msg_id, arrival)
+            write = to_ms(sample_rows(self.rng, (self.policy.write_latency_ms,), ids.size)[:, 0])
+            self.on_blob(arrival + write, ids, ids + 1)
+            return
+        if self.policy.chunk_bytes is None:
+            self._route_windows(ids, arrival)
         else:
-            self.route_batched(msg_id, arrival)
-
-    # --- immediate policy: one blob per message -------------------------
-
-    def route_immediate(self, msg_id: int, t2: int) -> None:
-        write_ms = self.policy.write_latency_ms.sample_int(self.rng)
-        t3 = t2 + write_ms
-        self.loop.schedule(t3, lambda ids=(msg_id,), t=t3: self.on_blob(ids, t), priority=2)
+            self._route_chunks(ids, arrival)
+        self._hand_over()
 
     # --- batched policy: window tiling with hold-back --------------------
 
-    def _boundary_for(self, t2: int) -> int | None:
-        """Flush boundary for an arrival: windows tile time from route
+    def _boundaries(self, t2: np.ndarray) -> np.ndarray:
+        """Flush boundary of each arrival: windows tile time from route
         creation (t=0); a message exactly on a boundary joins the batch
         closing there."""
         window = self._window
-        if window is None:
-            return None
-        return window * max(1, math.ceil(t2 / window))
+        return window * np.maximum(1, -(-t2 // window))
 
-    def route_batched(self, msg_id: int, t2: int) -> None:
-        boundary = self._boundary_for(t2)
-        self._open_batch.append(msg_id)
-        self._open_bytes += self.table.payload[msg_id]
-        if boundary is not None and boundary != self._boundary:
-            # arrivals come in time order, so boundaries never decrease
-            self._boundary = boundary
-            self.loop.schedule(boundary, lambda b=boundary: self._window_flush(b), priority=1)
+    def _route_windows(self, ids: np.ndarray, t2: np.ndarray) -> None:
+        """Window batching: a batch is the arrivals of one window, flushed at its boundary."""
+        boundary = self._boundaries(t2)
+        # arrivals come in time order, so boundaries never decrease
+        before = np.concatenate(([-1 if self._boundary is None else self._boundary], boundary[:-1]))
+        opens = np.flatnonzero(boundary != before)  # arrivals that open a new window's batch
+        if self._open is not None:  # it takes the arrivals before the first new window
+            taken = opens[0] if opens.size else ids.size
+            if taken:
+                self._open[1] = int(ids[taken - 1]) + 1
+            if not opens.size:
+                return
+            self._flush(self._boundary)
+        closes = opens[1:] - 1  # the last arrival of each window that ends within the block
+        self.on_blob(boundary[closes] + self._holdback, ids[opens[:-1]], ids[closes] + 1)
+        self._open = [int(ids[opens[-1]]), int(ids[-1]) + 1]
+        self._boundary = int(boundary[-1])
+
+    def _route_chunks(self, ids: np.ndarray, t2: np.ndarray) -> None:
+        """Chunk batching, within windows if one is set: a batch also flushes once it holds chunk_bytes."""
         chunk = self.policy.chunk_bytes
-        if chunk is not None and self._open_bytes >= chunk:
-            self._flush(t2)
-
-    def _window_flush(self, boundary: int) -> None:
-        # a chunk flush may already have emptied this window's batch; an
-        # open batch at a window flush holds only that window's arrivals
-        if self._open_batch:
-            self._flush(boundary)
+        boundaries = self._boundaries(t2).tolist() if self._window is not None else [None] * ids.size
+        for mid, t, size, boundary in zip(ids.tolist(), t2.tolist(),
+                                          self.table.payload[ids].tolist(), boundaries):
+            if boundary != self._boundary:
+                if self._open is not None:
+                    self._flush(self._boundary)
+                self._boundary = boundary
+            if self._open is None:
+                self._open = [mid, mid]
+            self._open[1] = mid + 1
+            self._open_bytes += size
+            if self._open_bytes >= chunk:
+                self._flush(t)
 
     def _flush(self, flush_time: int) -> None:
-        batch = self._open_batch
-        self._open_batch = []
-        self._open_bytes = 0
-        t3 = flush_time + round(self.policy.holdback_s * 1000)
-        self.loop.schedule(t3, lambda b=batch, t=t3: self.on_blob(b, t), priority=2)
+        self._flushed.append((flush_time + self._holdback, *self._open))
+        self._open, self._open_bytes = None, 0
 
-    def flush_open(self, flush_time: int) -> bool:
-        """Flush any open batch (end of run on a chunk-only route).
+    def _hand_over(self) -> None:
+        """Pass the batches flushed since the last hand-over to ``on_blob``."""
+        if self._flushed:
+            self.on_blob(*np.array(self._flushed, dtype=np.int64).T)
+            self._flushed = []
 
-        With a window configured every batch already has a scheduled
-        boundary flush, so this is a no-op then.
+    @property
+    def latest(self) -> int:
+        """The time of the latest arrival or window boundary."""
+        return max(self._last_arrival, self._boundary or 0)
+
+    def close(self, end: int) -> None:
+        """Flush the open batch once no message is left to arrive.
+
+        It flushes at its window boundary or, on a chunk-only route, at
+        ``end``, the run's latest event.
         """
-        if not self._open_batch:
-            return False
-        self._flush(flush_time)
-        return True
+        if self._open is not None:
+            self._flush(end if self._window is None else self._boundary)
+            self._hand_over()

@@ -1,20 +1,22 @@
-"""Live-mode runner: the runner's event loop on a wall clock.
+"""Live-mode runner: the runner's block engine on a wall clock.
 
 The run's one ``EventLoop`` runs on the calling thread, as in virtual
-mode, but its clock is the wall clock: the loop sleeps until each event
-falls due and runs an event that is already due late. Compute time is
-burned with a deadline spin loop (approximate, a few percent per item)
-that runs the cloud-side events falling due meanwhile, so they run on
-time and their failures end the run at once. A workload's
-``item_hook`` does its work in place of that spin loop and blocks the
-loop: events that fall due during the hook run when it returns, with
-their modeled timestamps unchanged. Link delays and cloud-side times
-(t2, t3) are modeled, not transmitted, so when a cloud-side event runs
-never changes a value. Resource usage is sampled from the real process
-at 1 s cadence on a thread of its own, so live reports carry measured
-CPU/RSS instead of replayed profiles; without psutil, or in a run
-shorter than one sample, they say why none were taken. Live runs are
-excluded from the exact-determinism guarantees of virtual mode.
+mode, but its clock is the wall clock and each block holds one item: an
+item cannot start before the previous item's measured compute has
+ended. The loop sleeps until each item falls due and runs one that is
+already due late. Compute time is burned with a deadline spin loop
+(approximate, a few percent per item); a workload's ``item_hook`` does
+its work in its place. Nothing else runs meanwhile: an item's send,
+link, hub and blob decisions follow in the same event, and a blob is
+written once its order is settled, at the latest in the event at the
+run's last modeled time. Link delays and cloud-side times (t2, t3) are
+modeled, not transmitted, so when a cloud-side step runs never changes
+a value, and a failure in any step ends the run at once. Resource usage
+is sampled from the real process at 1 s cadence on a thread of its own,
+so live reports carry measured CPU/RSS instead of replayed profiles;
+without psutil, or in a run shorter than one sample, they say why none
+were taken. Live runs are excluded from the exact-determinism
+guarantees of virtual mode.
 """
 
 from __future__ import annotations
@@ -23,22 +25,19 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .config import ScenarioConfig
 from .core import EventLoop
-from .runner import RunResult, finish_run, run_to_end, start_run
+from .runner import RunResult, finish_run, start_run
 
 
 class _WallClock:
-    """Milliseconds since the run began, with the interface of ``core.Clock``.
-
-    ``loop`` is the event loop that runs on this clock; compute runs its
-    due events.
-    """
+    """Milliseconds since the run began, with the interface of ``core.Clock``."""
 
     def __init__(self, skew_edge_ms: int):
         self.skew_edge_ms = int(skew_edge_ms)
         self._base = time.monotonic_ns()
-        self.loop: EventLoop | None = None
 
     @property
     def now(self) -> int:
@@ -53,13 +52,13 @@ class _WallClock:
     def edge_stamp(self, true_time_ms: int) -> int:
         return true_time_ms + self.skew_edge_ms
 
-    def compute(self, c_edge_ms: int) -> int:
-        """Burn CPU for ``c_edge_ms``, running events as they fall due; returns the elapsed ms."""
+    def compute(self, c_edge_ms: np.ndarray) -> np.ndarray:
+        """Burn CPU for a one-item block's ``c_edge_ms``; returns the elapsed ms, as the same shape."""
         start = self.now
-        deadline = start + c_edge_ms
-        while (now := self.now) < deadline:
-            self.loop.run(until=now)  # spin rather than sleep: live compute keeps a core busy
-        return self.now - start
+        deadline = start + int(c_edge_ms[0])
+        while self.now < deadline:  # spin rather than sleep: live compute keeps a core busy
+            pass
+        return np.array([self.now - start])
 
 
 class _ResourceSampler(threading.Thread):
@@ -98,14 +97,13 @@ class _ResourceSampler(threading.Thread):
 
 def run_live(config: ScenarioConfig, persist_blobs: str | Path | None = None) -> RunResult:
     """Execute one scenario against the wall clock; a failure anywhere ends the run at once."""
-    clock = _WallClock(config.skew_edge_ms)
-    loop = clock.loop = EventLoop(clock)
+    loop = EventLoop(_WallClock(config.skew_edge_ms))
     seed = config.seed if config.seed is not None else time.time_ns() & (2**63 - 1)
-    run = start_run(config, loop, seed, persist_blobs)
+    run = start_run(config, loop, seed, persist_blobs, block=1)
     sampler = _ResourceSampler()
     sampler.start()
     try:
-        duration_ms = run_to_end(run, loop)
+        duration_ms = loop.run()
     finally:
         sampler.stop.set()
         sampler.join()

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from .core import Distribution, SeededRng, constant
+import numpy as np
 
-DROPPED = object()  # sentinel returned by deliver() for a lost message
+from .core import Distribution, SeededRng, constant, sample_rows, to_ms
 
 
 @dataclass(frozen=True)
@@ -32,15 +31,15 @@ class LinkModel:
         if not 0.0 <= self.drop_probability <= 1.0:
             raise ValueError("drop probability must be in [0, 1]")
 
-    def serialization_ms(self, total_bytes: int) -> int:
-        """Whole-ms time to push ``total_bytes`` through the link.
+    def serialization_ms(self, total_bytes):
+        """Whole-ms time to push ``total_bytes`` (an int or an int64 array) through the link.
 
         Ceiling keeps the integer clock; the <=1 ms error is far below
         the tens-of-ms flight times being modeled.
         """
         if self.bandwidth_bytes_per_s is None:
             return 0
-        return math.ceil(total_bytes * 1000 / self.bandwidth_bytes_per_s)
+        return np.ceil(total_bytes * 1000 / self.bandwidth_bytes_per_s).astype(np.int64)
 
 
 @dataclass
@@ -81,24 +80,40 @@ class Link:
         self._rng = rng
         self._last_arrival: dict[str, int] = {}
 
-    def deliver(self, source: str, payload_bytes: int, send_time: int):
-        """Compute the arrival time of a message sent at ``send_time``.
+    def deliver(self, source: str, payload_bytes: np.ndarray, send_time: np.ndarray):
+        """Send messages from ``source``, in order; returns ``(kept, arrival)``.
 
-        Returns the arrival timestamp (ms) or DROPPED. The ledger is
-        updated only for delivered messages. Delivery is FIFO per
-        source: a message never overtakes an earlier one from the same
-        device, matching ordered MQTT-style sessions.
+        ``kept`` is a bool mask of the messages the link delivered, and
+        ``arrival`` the arrival timestamps (ms) of those messages. Each
+        message draws its drop (when the drop probability is nonzero),
+        then, if delivered, its propagation delay. The ledger counts only
+        delivered messages. Delivery is FIFO per source: a message never
+        overtakes an earlier one from the same device, matching ordered
+        MQTT-style sessions, so arrival is the running maximum of send
+        time plus flight (the Lindley recursion).
         """
-        if self.model.drop_probability > 0 and self._rng.random() < self.model.drop_probability:
-            return DROPPED
-        total = payload_bytes + self.model.per_message_overhead_bytes
-        flight = self.model.propagation_ms.sample_int(self._rng)
-        flight += self.model.serialization_ms(total)
-        arrival = send_time + flight
-        arrival = max(arrival, self._last_arrival.get(source, 0))
-        self._last_arrival[source] = arrival
-        self.ledger.record(source, payload_bytes, self.model.per_message_overhead_bytes)
-        return arrival
+        model = self.model
+        n = len(payload_bytes)
+        kept = np.ones(n, dtype=bool)
+        if model.drop_probability > 0:
+            flights = []
+            for k in range(n):
+                if self._rng.random() < model.drop_probability:
+                    kept[k] = False
+                else:
+                    flights.append(model.propagation_ms.sample(self._rng))
+            flight = to_ms(np.array(flights, dtype=float))
+            payload_bytes, send_time = payload_bytes[kept], send_time[kept]
+        else:
+            flight = to_ms(sample_rows(self._rng, (model.propagation_ms,), n)[:, 0])
+        overhead = model.per_message_overhead_bytes
+        flight += model.serialization_ms(payload_bytes + overhead)
+        last = self._last_arrival.get(source, 0)
+        arrival = np.maximum.accumulate(np.maximum(send_time + flight, last))
+        if arrival.size:
+            self._last_arrival[source] = int(arrival[-1])
+            self.ledger.record(source, int(payload_bytes.sum()), overhead * arrival.size)
+        return kept, arrival
 
 
 def ledger_report(ledger: ByteLedger) -> dict:

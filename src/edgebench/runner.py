@@ -1,13 +1,22 @@
 """Scenario orchestration: one edge driver and one cloud driver for both clocks.
 
 The drivers wire the workload, link, hub (or cloud function) and blob
-store together over one ``EventLoop``. Virtual mode runs the loop on
-``Clock``; live mode (``live.py``) runs the same loop, on the same
-thread, on a wall clock. Both write each message's timestamps, payload
-size and blob into one RunTable, run the loop to its end in the same
-step and finish in the same step, which checks the table and aggregates
-its delivered messages into a RunReport. In virtual mode identical seed
-and config produce identical results, field-for-field and byte-for-byte.
+store together over one ``EventLoop``, which runs one event per block of
+message ids. A block event takes each stream's draws for the whole
+block as arrays, in the order per-message draws would take them, and
+fills the block's rows of the RunTable by array arithmetic: a cumulative
+sum for the device timeline, a running maximum for FIFO arrivals, vector
+window boundaries, and one sequential pass for chunk triggers. Blobs
+wait as int64 rows until no later message can come before them, so
+they are created, and numbered, in the order of their creation time and
+decision. Nothing is scheduled per message. Virtual mode runs the loop
+on ``Clock`` with blocks of BLOCK ids; live mode (``live.py``) runs the
+same code on a wall clock with one-item blocks, since an item cannot
+start before the previous item's measured compute has ended. Both run
+the loop to its end in the same step and finish in the same step, which
+checks the table and aggregates its delivered messages into a RunReport.
+In virtual mode identical seed and config produce identical results,
+field-for-field and byte-for-byte, whatever the block size.
 """
 
 from __future__ import annotations
@@ -21,16 +30,17 @@ import numpy as np
 
 from .cloud import time_cloud_item
 from .config import ScenarioConfig
-from .core import Clock, EventLoop, SeededRng, to_ms
+from .core import Clock, EventLoop, SeededRng, sample_rows, to_ms
 from .hub import Hub
 from .metrics import (MetricRow, RunReport, RunTable, aggregate, finalize_row, metric_rows,
                       report_to_json, rows_to_csv)
-from .network import DROPPED, ByteLedger, Link, ledger_report
+from .network import ByteLedger, Link, ledger_report
 from .storage import BlobStore
 from .workloads import run_item, synthesize_body
 
 DEVICE = "device-0"
 CLOUD_FUNCTION_SOURCE = "cloud-function"
+BLOCK = 1024  # message ids one block event computes at most; bounds the engine's memory
 RESOURCE_CHUNK = 1024  # resource samples drawn per block; bounds the replay's memory
 
 
@@ -70,18 +80,20 @@ def run_scenario(config: ScenarioConfig, persist_blobs: str | Path | None = None
         raise ValueError("workload.item_hook does real work, which needs live mode")
 
     loop = EventLoop(Clock(skew_edge_ms=config.skew_edge_ms))
-    run = start_run(config, loop, config.seed, persist_blobs)
-    duration_ms = run_to_end(run, loop)
+    run = start_run(config, loop, config.seed, persist_blobs, BLOCK)
+    duration_ms = loop.run()
     return finish_run(run, duration_ms, _replay_resources(config, run.root, duration_ms))
 
 
 def start_run(config: ScenarioConfig, loop: EventLoop, seed: int,
-              persist_blobs: str | Path | None) -> Run:
-    """Set up a run and schedule its first item on ``loop``.
+              persist_blobs: str | Path | None, block: int) -> Run:
+    """Set up a run and schedule its first block of at most ``block`` items on ``loop``.
 
-    The loop runs both the device's item chain (compute, send, next
-    item) and the cloud side (arrivals, hub, uploads, result writes).
-    Its clock has ``now``, ``advance``, ``edge_stamp`` and ``compute``.
+    Each block event computes its items' whole pipeline with array
+    draws and array arithmetic (device compute and sends, link, hub or
+    cloud function, blob store), creates the blobs whose order is
+    settled, and schedules the next block at its first item's start. The
+    loop's clock has ``now``, ``advance``, ``edge_stamp`` and ``compute``.
     """
     root = SeededRng(seed)
     link = Link(config.link, ByteLedger(), root.substream("link"))
@@ -89,20 +101,8 @@ def start_run(config: ScenarioConfig, loop: EventLoop, seed: int,
     store = BlobStore(table, config.route, config.blob_envelope_bytes, persist_blobs)
     run = Run(config, root, link, table, store)
     drive = _drive_edge if config.pipeline == "edge" else _drive_cloud
-    drive(run, loop)
+    drive(run, loop, block)
     return run
-
-
-def run_to_end(run: Run, loop: EventLoop) -> int:
-    """Run the loop until no event is left; returns the clock's time then.
-
-    On a chunk-only route the open tail batch is then written, which
-    takes a second pass.
-    """
-    duration_ms = loop.run()
-    if run.hub is not None and run.hub.flush_open(loop.clock.now):
-        duration_ms = loop.run()
-    return duration_ms
 
 
 def finish_run(run: Run, duration_ms: int, resources: dict | None) -> RunResult:
@@ -127,74 +127,73 @@ def finish_run(run: Run, duration_ms: int, resources: dict | None) -> RunResult:
     return RunResult(report=report, table=run.table, store=run.store)
 
 
-def _drive_edge(run: Run, loop: EventLoop) -> None:
+def _drive_edge(run: Run, loop: EventLoop, block: int) -> None:
     clock = loop.clock
     spec = run.config.workload
     wl_rng = run.root.substream("workload")
     link, table, store = run.link, run.table, run.store
-    c_edge_col, t1_col, payload_col, dropped = table.c_edge, table.t1, table.payload, table.dropped
-    bodies = store.bodies if store.persist_dir is not None else None
-    hub = run.hub = Hub(run.config.hub, loop, run.root.substream("hub"), table, store.create_blob)
+    persist = store.persist_dir is not None
+    hub = run.hub = Hub(run.config.hub, run.root.substream("hub"), table, store.schedule)
 
-    def start_item(idx):
-        c_edge, t1, payload, body = run_item(spec, idx, clock, wl_rng)
-        table.started = idx + 1
-        c_edge_col[idx], t1_col[idx], payload_col[idx] = c_edge, t1, payload
-        if bodies is not None:
-            bodies[idx] = synthesize_body(DEVICE, idx, payload) if body is None else body
-        send_time = t1 - clock.skew_edge_ms  # true instant: the edge stamp without skew
+    def start_block(first):
+        count = min(block, spec.items - first)
+        c_edge, t1, payload, bodies, next_start = run_item(spec, first, count, clock, wl_rng, persist)
+        rows = slice(first, first + count)
+        table.started = first + count
+        table.c_edge[rows], table.t1[rows], table.payload[rows] = c_edge, t1, payload
+        if persist:
+            for k, size in enumerate(payload.tolist()):
+                store.bodies[first + k] = (synthesize_body(DEVICE, first + k, size) if bodies is None
+                                           else bodies[k])
+        send = t1 - clock.skew_edge_ms  # true instants: the edge stamps without skew
+        kept, arrival = link.deliver(DEVICE, payload, send)
+        table.dropped[rows] = ~kept
+        hub.ingest(first + np.flatnonzero(kept), arrival)
+        if next_start is None:
+            end = max(int(send[-1]), hub.latest, store.latest)  # the run's latest event so far
+            hub.close(end)
+            loop.schedule(max(end, store.latest), store.settle)
+            return
+        store.settle(next_start)  # later messages are sent, so arrive and are stored, from then on
+        loop.schedule(next_start, lambda: start_block(first + count))
 
-        def emit():
-            arrival = link.deliver(DEVICE, payload, send_time)
-            if arrival is DROPPED:
-                dropped[idx] = 1
-                return
-            loop.schedule(arrival, lambda: hub.ingest(idx, arrival), priority=0)
-
-        loop.schedule(send_time, emit, priority=0)
-        if idx + 1 < spec.items:
-            gap = spec.gap_ms(wl_rng)
-            loop.schedule(send_time + gap, lambda i=idx + 1: start_item(i), priority=0)
-
-    loop.schedule(round(spec.warmup_delay_s * 1000), lambda: start_item(0), priority=0)
+    loop.schedule(round(spec.warmup_delay_s * 1000), lambda: start_block(0))
 
 
-def _drive_cloud(run: Run, loop: EventLoop) -> None:
+def _drive_cloud(run: Run, loop: EventLoop, block: int) -> None:
     clock = loop.clock
     config = run.config
     spec = config.workload
-    profile = config.cloud_function
     wl_rng = run.root.substream("workload")
     cloud_rng = run.root.substream("cloud")
     ledger, table, store = run.link.ledger, run.table, run.store
-    bodies = store.bodies if store.persist_dir is not None else None
+    overhead = config.link.per_message_overhead_bytes
 
-    def start_upload(idx):
-        input_bytes = spec.input_bytes_per_item.sample_int(wl_rng)
-        result_bytes = spec.result_payload_bytes.sample_int(wl_rng)
-        upload_start = clock.now
-        t2, t3 = time_cloud_item(spec, profile, config.link, upload_start, input_bytes, cloud_rng)
-        table.started = idx + 1
-        table.c_edge[idx], table.t1[idx] = 0, clock.edge_stamp(upload_start)
-        table.payload[idx] = result_bytes
-        if bodies is not None:
-            bodies[idx] = synthesize_body(DEVICE, idx, result_bytes)
+    def start_block(first):
+        count = min(block, spec.items - first)
+        last = first + count == spec.items
+        input_bytes, result_bytes = to_ms(
+            sample_rows(wl_rng, (spec.input_bytes_per_item, spec.result_payload_bytes), count)).T
+        start, t2, t3, next_start = time_cloud_item(config.cloud_function, config.link, clock.now,
+                                                    input_bytes, cloud_rng, last)
+        rows = slice(first, first + count)
+        table.started = first + count
+        table.c_edge[rows], table.t1[rows], table.t2[rows] = 0, clock.edge_stamp(start), t2
+        table.payload[rows] = result_bytes
+        if store.persist_dir is not None:
+            for k, size in enumerate(result_bytes.tolist()):
+                store.bodies[first + k] = synthesize_body(DEVICE, first + k, size)
+        ledger.record(DEVICE, int(input_bytes.sum()), overhead * count)
+        ledger.record(CLOUD_FUNCTION_SOURCE, int(result_bytes.sum()), 0)
+        ids = np.arange(first, first + count)
+        store.schedule(t3, ids, ids + 1)
+        if last:
+            loop.schedule(store.latest, store.settle)
+            return
+        store.settle(next_start)  # later uploads start, so finish, from then on
+        loop.schedule(next_start, lambda: start_block(first + count))
 
-        def upload_done():
-            ledger.record(DEVICE, input_bytes, config.link.per_message_overhead_bytes)
-            table.t2[idx] = t2
-
-        def write_result():
-            ledger.record(CLOUD_FUNCTION_SOURCE, result_bytes, 0)
-            store.create_blob((idx,), t3)
-
-        loop.schedule(t2, upload_done, priority=0)
-        loop.schedule(t3, write_result, priority=2)
-        if idx + 1 < spec.items:
-            gap_ms = to_ms(profile.inter_upload_gap_s.sample(cloud_rng) * 1000)
-            loop.schedule(t2 + gap_ms, lambda i=idx + 1: start_upload(i), priority=0)
-
-    loop.schedule(round(spec.warmup_delay_s * 1000), lambda: start_upload(0), priority=0)
+    loop.schedule(round(spec.warmup_delay_s * 1000), lambda: start_block(0))
 
 
 def _replay_resources(config: ScenarioConfig, root: SeededRng, duration_ms: int) -> dict | None:

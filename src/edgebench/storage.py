@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +28,13 @@ class BlobStore:
     follow ``<route>/<flush-ordinal>-<first-message-id>.json`` so
     listings are deterministic and sortable.
 
+    A blob is first scheduled, as one int64 row (creation time, id range),
+    and created by :meth:`settle` once no blob scheduled later can come
+    before it. Blobs are created, and numbered, in (creation time, first
+    id) order: the order of their creation events, which were decided in
+    message-id order (immediate and cloud blobs) or flush order (batches
+    of consecutive messages).
+
     With ``persist_dir`` set, ``bodies`` holds the text of each message
     until its blob is mirrored to disk.
     """
@@ -40,34 +46,66 @@ class BlobStore:
         self.envelope_bytes = envelope_bytes
         self.persist_dir = Path(persist_dir) if persist_dir else None
         self.bodies: dict[int, str] = {}
-        self._created_at = array("q")
-        self._size = array("q")
-        self._first_id = array("q")
-        self._count = array("q")
+        # rows (created_at, size, first id, count), one array per create_blob call: no slack
+        # that grows with the run
+        self._blobs: list[np.ndarray] = []
+        self._created = 0
         self._listing: list[BlobRecord] | None = None
+        self._pending = np.empty((0, 3), dtype=np.int64)  # rows (created_at, first, end), sorted
+        self._scheduled: list[np.ndarray] = []  # rows not yet sorted into _pending
+        self.latest = 0  # the latest creation time scheduled so far
 
-    def _name(self, index: int) -> str:
-        return f"{self.route}/{index:06d}-{self._first_id[index]}.json"
+    def _name(self, index: int, first_id: int) -> str:
+        return f"{self.route}/{index:06d}-{first_id}.json"
 
-    def create_blob(self, ids, created_at: int) -> None:
-        """Write the messages ``ids``, in that order, as the next blob."""
-        table, index = self.table, len(self._count)
-        payload, t3, blob = table.payload, table.t3, table.blob
-        size = self.envelope_bytes
-        for mid in ids:
-            size += payload[mid]
-            t3[mid] = created_at
-            blob[mid] = index
-        self._created_at.append(created_at)
-        self._size.append(size)
-        self._first_id.append(ids[0] if ids else 0)
-        self._count.append(len(ids))
+    def schedule(self, created_at, first, end) -> None:
+        """Schedule blobs: blob j is created at ``created_at[j]`` and holds the
+        delivered messages with ids in ``[first[j], end[j])``."""
+        rows = np.column_stack((created_at, first, end)).astype(np.int64, copy=False)
+        self._scheduled.append(rows)
+        self.latest = int(rows[:, 0].max(initial=self.latest))
+
+    def settle(self, horizon: int | None = None) -> None:
+        """Create the scheduled blobs due by ``horizon``, in (created_at, first id) order.
+
+        The caller vouches that every blob scheduled after this call is
+        due at or after ``horizon`` and holds later messages; None creates
+        every scheduled blob.
+        """
+        rows = np.concatenate([self._pending, *self._scheduled])
+        self._scheduled = []
+        rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+        due = len(rows) if horizon is None else int(np.searchsorted(rows[:, 0], horizon, side="right"))
+        self._pending = rows[due:]
+        if due:
+            created_at, first, end = rows[:due].T
+            self.create_blob(first, end, created_at)
+
+    def create_blob(self, first, end, created_at) -> None:
+        """Create blobs, in the given order: blob j holds the delivered
+        messages with ids in ``[first[j], end[j])`` and stamps their T3
+        with ``created_at[j]``."""
+        first, end, created_at = (np.asarray(a, dtype=np.int64) for a in (first, end, created_at))
+        table, index = self.table, self._created
+        span = end - first
+        ids = np.arange(span.sum()) + np.repeat(first - (np.cumsum(span) - span), span)
+        blob = np.repeat(np.arange(index, index + len(first)), span)
+        stored = ~table.dropped[ids]
+        ids, blob = ids[stored], blob[stored]
+        table.t3[ids] = created_at[blob - index]
+        table.blob[ids] = blob
+        count = np.bincount(blob - index, minlength=len(first))
+        bytes_before = np.concatenate(([0], np.cumsum(table.payload[ids])))
+        ends = np.cumsum(count)
+        size = self.envelope_bytes + bytes_before[ends] - bytes_before[ends - count]
+        self._blobs.append(np.column_stack((created_at, size, first, count)))
+        self._created += len(first)
         self._listing = None
         if self.persist_dir is not None:
-            self._mirror(index, ids, created_at)
+            for j, blob_ids in enumerate(np.split(ids, ends[:-1])):
+                self._mirror(self._name(index + j, int(first[j])), blob_ids.tolist(), int(created_at[j]))
 
-    def _mirror(self, index: int, ids, created_at: int) -> None:
-        name = self._name(index)
+    def _mirror(self, name: str, ids, created_at: int) -> None:
         path = self.persist_dir / name
         path.parent.mkdir(parents=True, exist_ok=True)
         t1, t2 = self.table.t1, self.table.t2
@@ -75,7 +113,7 @@ class BlobStore:
             "name": name,
             "created_at": created_at,
             "messages": [
-                {"id": mid, "t1": t1[mid], "t2": t2[mid], "body": self.bodies.pop(mid)}
+                {"id": mid, "t1": int(t1[mid]), "t2": int(t2[mid]), "body": self.bodies.pop(mid)}
                 for mid in ids
             ],
         }
@@ -92,12 +130,15 @@ class BlobStore:
         return [r for r in self._listing if r.name.startswith(prefix)]
 
     def _records(self) -> list[BlobRecord]:
+        if not self._created:
+            return []
         blob = self.table.column("blob")
         stored = np.flatnonzero(blob != UNSET)
         by_blob = stored[np.argsort(blob[stored], kind="stable")]
-        groups = np.split(by_blob, np.cumsum(self._count)[:-1]) if len(self) else []
-        return [BlobRecord(self._name(i), self._created_at[i], ids.tolist(), self._size[i])
+        created_at, size, first_id, count = np.concatenate(self._blobs).T.tolist()
+        groups = np.split(by_blob, np.cumsum(count)[:-1])
+        return [BlobRecord(self._name(i, first_id[i]), created_at[i], ids.tolist(), size[i])
                 for i, ids in enumerate(groups)]
 
     def __len__(self) -> int:
-        return len(self._count)
+        return self._created

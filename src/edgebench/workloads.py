@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable
 
 import numpy as np
 
-from .core import Distribution, SeededRng, SimulationError, constant, uniform_span
+from .core import Distribution, SeededRng, SimulationError, constant, sample_rows, to_ms, uniform
 
 WORKLOAD_KINDS = ("scalar", "image", "audio", "custom")
 
@@ -63,12 +64,6 @@ class WorkloadSpec:
             if self.scalar_interval_s <= 0:
                 raise InvalidRate(f"scalar_interval_s must be > 0, got {self.scalar_interval_s}")
 
-    def gap_ms(self, rng: SeededRng) -> int:
-        """Gap before the next item; scalar cadence follows its interval."""
-        if self.kind == "scalar":
-            return round(self.scalar_interval_s * 1000)
-        return self.inter_item_gap_ms.sample_int(rng)
-
 
 @dataclass
 class ResourceProfile:
@@ -88,35 +83,27 @@ class ResourceProfile:
 
         Each sample draws cpu then ram; cpu is clamped to
         [0, 100 * cores], ram at zero before the platform delta is added.
-        Constant and uniform kinds are drawn as one block, equal value
-        for value to ``n`` single draws; other kinds are drawn one sample
-        at a time.
+        The samples equal ``n`` single draws value for value
+        (:func:`core.sample_rows`).
         """
-        dists = (self.cpu_pct, self.ram_mb)
-        if all(d.kind in ("constant", "uniform") for d in dists):
-            spans = [uniform_span(*d.params) for d in dists if d.kind == "uniform"]
-            # row i holds sample i's uniform draws, cpu's first, as single draws take them
-            draws = rng.random_array(n * len(spans)).reshape(n, len(spans)).T
-            columns = iter(low + span * u for (low, span), u in zip(spans, draws))
-            cpu, ram = (next(columns) if d.kind == "uniform" else np.full(n, float(d.params[0]))
-                        for d in dists)
-        else:
-            cpu, ram = np.array([[d.sample(rng) for d in dists] for _ in range(n)],
-                                dtype=float).reshape(n, 2).T
+        cpu, ram = sample_rows(rng, (self.cpu_pct, self.ram_mb), n).T
         cpu = np.minimum(np.maximum(cpu, 0.0), 100.0 * self.cores)
         ram = np.maximum(ram, 0.0) + self.platform_ram_delta_mb
         return cpu, ram
 
 
-def scalar_batch_body(freq_hz: float, interval_s: float, rng: SeededRng) -> str:
-    """UTF-8 JSON array of floor(freq*interval) sensor readings."""
-    if freq_hz <= 0:
-        raise InvalidRate(f"freq_hz must be > 0, got {freq_hz}")
-    if interval_s <= 0:
-        raise InvalidRate(f"interval_s must be > 0, got {interval_s}")
-    count = int(freq_hz * interval_s)
-    values = [rng.random() for _ in range(count)]
-    return json.dumps(values, separators=(",", ":"))
+def scalar_batch_body(readings: np.ndarray) -> np.ndarray:
+    """Byte size of each row's body: the JSON array of its sensor readings.
+
+    A body is ``json.dumps(row, separators=(",", ":"))``, the reprs of
+    its readings joined by commas inside brackets, so a row of
+    ``count >= 1`` readings takes ``2 + (count - 1) + sum(len(repr(x)))``
+    bytes and an empty one 2. The reprs are ASCII.
+    """
+    n, count = readings.shape
+    values = chain.from_iterable(map(np.ndarray.tolist, readings))  # a row at a time: no block-sized list
+    chars = np.fromiter(map(len, map(repr, values)), np.int64, n * count)
+    return chars.reshape(n, count).sum(axis=1) + 2 + max(count - 1, 0)
 
 
 def synthesize_body(source: str, msg_id: int, payload_bytes: int) -> str:
@@ -131,37 +118,62 @@ def synthesize_body(source: str, msg_id: int, payload_bytes: int) -> str:
 
 def run_item(
     spec: WorkloadSpec,
-    idx: int,
+    first: int,
+    count: int,
     clock,
     rng: SeededRng,
-) -> tuple[int, int, int, str | None]:
-    """Process one workload item starting at the current clock time.
+    texts: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str] | None, int | None]:
+    """Process items ``[first, first + count)`` back to back from the current clock time.
 
-    Returns ``(c_edge, t1, payload_bytes, body)``: the item's edge
-    compute time (ms), its send timestamp, the size of its result and
-    the result text. The drawn compute time is spent through
+    Returns ``(c_edge, t1, payload, bodies, next_start)``: each item's
+    edge compute time (ms), send timestamp and result size as int64
+    arrays, the items' result texts (or None), and the time the item
+    after the block starts (None after the run's last item).
+
+    Per item the workload stream draws compute time, input size (unused
+    at the edge, drawn to keep the stream's order), payload size or
+    scalar readings, then the gap to the next item; the run's last item
+    draws no gap, and a scalar item's gap is its interval. Items run
+    sequentially: t1 = edge_stamp(start + c_edge), and the next item
+    starts a gap after that. The drawn compute time is spent through
     ``clock.compute`` (a virtual clock takes it as drawn, a wall clock
-    busy-waits it), or, when the spec has an ``item_hook``, the hook does
-    the item's real work and its result text is the body. A modeled
-    payload has only a size: its body is None. Items run sequentially:
-    t1 = edge_stamp(start + c_edge), the instant the edge finishes
-    computing and stamps the send timestamp.
+    busy-waits it). A spec with an ``item_hook`` (live mode, one item per
+    block) does the item's real work instead, and its result text is the
+    body. A modeled payload has only a size; a scalar item's body is its
+    readings' JSON, returned only when ``texts`` is set.
     """
-    if idx >= spec.items:
-        raise ExhaustedWorkload(f"item {idx} out of range (items={spec.items})")
-    start = clock.now
-    c_edge = spec.compute_ms.sample_int(rng)
-    spec.input_bytes_per_item.sample_int(rng)  # drawn to keep the stream's order; unused at the edge
-    body = None
+    if count < 1 or first + count > spec.items:
+        raise ExhaustedWorkload(f"items [{first}, {first + count}) out of range (items={spec.items})")
+    last = first + count == spec.items
+    scalar = spec.kind == "scalar"
     if spec.item_hook is not None:
-        body = spec.item_hook(idx)
-        c_edge = clock.now - start
-        payload = len(body.encode("utf-8"))
+        result = []
+    elif scalar:
+        result = [uniform(0.0, 1.0)] * int(spec.scalar_freq_hz * spec.scalar_interval_s)
     else:
-        c_edge = clock.compute(c_edge)
-        if spec.kind == "scalar":
-            body = scalar_batch_body(spec.scalar_freq_hz, spec.scalar_interval_s, rng)
-            payload = len(body.encode("utf-8"))
+        result = [spec.result_payload_bytes]
+    dists = [spec.compute_ms, spec.input_bytes_per_item, *result]
+    gap = [] if scalar else [spec.inter_item_gap_ms]
+    rows = sample_rows(rng, dists + gap, count, omit_last=len(gap) if last else 0)
+
+    start = clock.now
+    bodies = None
+    if spec.item_hook is not None:
+        bodies = [spec.item_hook(first)]
+        c_edge = np.array([clock.now - start])
+        payload = np.array([len(bodies[0].encode("utf-8"))])
+    else:
+        c_edge = clock.compute(to_ms(rows[:, 0]))
+        if scalar:
+            readings = rows[:, 2:2 + len(result)]
+            payload = scalar_batch_body(readings)
+            if texts:
+                bodies = [json.dumps(row, separators=(",", ":")) for row in readings.tolist()]
         else:
-            payload = spec.result_payload_bytes.sample_int(rng)
-    return c_edge, clock.edge_stamp(start + c_edge), payload, body
+            payload = to_ms(rows[:, 2])
+    gaps = np.full(count, round(spec.scalar_interval_s * 1000)) if scalar else to_ms(rows[:, -1])
+    steps = c_edge + gaps
+    send = start + np.cumsum(steps) - gaps
+    next_start = None if last else int(send[-1] + gaps[-1])
+    return c_edge, clock.edge_stamp(send), payload, bodies, next_start

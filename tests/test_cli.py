@@ -116,6 +116,13 @@ hub:
         assert code == 1
         assert "60" in err
 
+    def test_sub_millisecond_window_is_invalid(self, capsys, tmp_path):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("extends: scenarios/batch-window-60\nhub: {window_s: 0.0004, platform_faithful: false}\n")
+        code, _, err = run_cli(capsys, "validate", "--config", str(bad))
+        assert code == 1
+        assert err.startswith("invalid: hub: window_s must be at least 1 ms")
+
     def test_bad_value_named(self, capsys, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("extends: scenarios/greengrass-image\nresources: {cores: abc}\n")

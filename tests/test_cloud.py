@@ -1,11 +1,12 @@
 """Cloud-only pipeline: timing decomposition and bandwidth accounting."""
 
+import numpy as np
+
 from edgebench.cloud import CloudFunctionProfile, time_cloud_item
 from edgebench.config import ScenarioConfig, load_fixture
 from edgebench.core import SeededRng, constant
 from edgebench.network import LinkModel
 from edgebench.runner import run_scenario
-from edgebench.workloads import WorkloadSpec
 
 
 def profile(trigger=0, exec_ms=0, write=0):
@@ -21,23 +22,32 @@ class TestTiming:
     def test_decomposition_is_exact(self):
         link = LinkModel(propagation_ms=constant(10), bandwidth_bytes_per_s=1000,
                          per_message_overhead_bytes=50)
-        t2, t3 = time_cloud_item(WorkloadSpec(items=1), profile(200, 1500, 30), link,
-                                 upload_start=1000, input_bytes=950, rng=SeededRng(0))
-        upload_ms = t2 - 1000
-        assert upload_ms == 10 + 1000  # 950+50 bytes at 1000 B/s
-        assert t3 - 1000 == upload_ms + 200 + 1500 + 30
+        start, t2, t3, _ = time_cloud_item(profile(200, 1500, 30), link, 1000, np.array([950, 950]),
+                                           SeededRng(0), last=True)
+        upload_ms = t2 - start
+        assert start[0] == 1000
+        assert upload_ms.tolist() == [10 + 1000] * 2  # 950+50 bytes at 1000 B/s
+        assert (t3 - start).tolist() == [upload_ms[0] + 200 + 1500 + 30] * 2
 
     def test_zero_everything_leaves_exec_only(self):
         link = LinkModel()
-        t2, t3 = time_cloud_item(WorkloadSpec(items=1), profile(exec_ms=5570), link,
-                                 upload_start=0, input_bytes=0, rng=SeededRng(0))
-        assert t3 - 0 == 5570
+        _, _, t3, _ = time_cloud_item(profile(exec_ms=5570), link, 0, np.array([0]), SeededRng(0),
+                                      last=True)
+        assert t3.tolist() == [5570]
 
     def test_azure_exec_profile(self):
         link = LinkModel()
-        t2, t3 = time_cloud_item(WorkloadSpec(items=1), profile(exec_ms=5570), link,
-                                 upload_start=0, input_bytes=0, rng=SeededRng(0))
-        assert t3 - t2 == 5570  # no upload, trigger or write time
+        _, t2, t3, _ = time_cloud_item(profile(exec_ms=5570), link, 0, np.array([0]), SeededRng(0),
+                                       last=True)
+        assert (t3 - t2).tolist() == [5570]  # no upload, trigger or write time
+
+    def test_next_upload_starts_a_gap_after_t2(self):
+        link = LinkModel(propagation_ms=constant(10))
+        gapped = CloudFunctionProfile(inter_upload_gap_s=constant(0.25))
+        start, t2, _, next_start = time_cloud_item(gapped, link, 0, np.array([0, 0]), SeededRng(0),
+                                                   last=False)
+        assert start.tolist() == [0, 260]
+        assert next_start == t2[-1] + 250 == 520
 
     def test_cloud_run_record(self):
         config = ScenarioConfig.from_dict({

@@ -17,6 +17,7 @@ from edgebench.config import (
     parse_distribution,
 )
 from edgebench.core import constant, uniform
+from edgebench.runner import run_scenario
 
 MINIMAL_EDGE = """
 pipeline: edge
@@ -96,6 +97,29 @@ hub:
 """)
         with pytest.raises(ParseError, match="60"):
             load_config(path)
+
+    @pytest.mark.parametrize("window_s", [0.0004, 0.0005, -0.002])
+    def test_window_below_one_ms_rejected(self, tmp_path, window_s):
+        # windows tile whole milliseconds; one that rounds to 0 ms crashed the run
+        path = write_config(tmp_path, f"""
+pipeline: edge
+platform_profile: test
+seed: 1
+workload: {{kind: custom, items: 1}}
+hub: {{mode: batched, window_s: {window_s}}}
+""")
+        with pytest.raises(ParseError, match="hub: window_s must be at least 1 ms"):
+            load_config(path)
+
+    def test_one_ms_window_accepted(self, tmp_path):
+        path = write_config(tmp_path, """
+pipeline: edge
+platform_profile: test
+seed: 1
+workload: {kind: custom, items: 3}
+hub: {mode: batched, window_s: 0.0006}
+""")
+        assert run_scenario(load_config(path)).report.message_count == 3
 
     def test_seed_required_in_virtual_mode(self, tmp_path):
         path = write_config(tmp_path, """

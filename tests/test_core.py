@@ -18,6 +18,7 @@ from edgebench.core import (
     constant,
     empirical,
     normal,
+    sample_rows,
     to_ms,
     uniform,
 )
@@ -103,7 +104,7 @@ def shipped_uniform_params():
 
 
 class TestSeededRngMatchesUnbufferedNumpy:
-    """Block-served draws equal the same calls on a plain numpy Generator."""
+    """Scalar and block draws equal the same calls on a plain numpy Generator."""
 
     @pytest.mark.parametrize("seed, name", [(0, ""), (7, "workload"), (-3, "link"), (2**70, "hub")])
     def test_random_mixed_sequences(self, seed, name):
@@ -112,8 +113,7 @@ class TestSeededRngMatchesUnbufferedNumpy:
         gen = unbuffered(seed, name)
         for _ in range(80):
             op = plan.choice(sorted(DRAW_ARGS))
-            # runs of doubles end before, at and just after the switch to
-            # blocks (64) and block boundaries, leaving blocks part used
+            # long runs of doubles, and short runs of every kind in between
             long_runs = op in ("random", "uniform")
             run = (plan.choice([1, 2, 3, 5, 63, 64, 65, 80, 81, 1023, 2500, 6000]) if long_runs
                    else plan.randint(1, 4))
@@ -122,8 +122,8 @@ class TestSeededRngMatchesUnbufferedNumpy:
 
     @pytest.mark.parametrize("doubles", [1, 2, 3, 4, 65, 1000])
     def test_pick_then_doubles_then_pick(self, doubles):
-        # pick uses half of a 64-bit output; stepping back over unused
-        # doubles must keep the other half for the next pick
+        # pick uses half of a 64-bit output; doubles drawn in between, one
+        # at a time or as a block, must leave the other half for the next pick
         rng, gen = SeededRng(11), unbuffered(11)
         values = tuple(range(10))
         for _ in range(5):
@@ -131,12 +131,14 @@ class TestSeededRngMatchesUnbufferedNumpy:
             for _ in range(doubles):
                 assert rng.random() == float(gen.random())
             assert rng.pick(values) == reference_draw(gen, "pick", (values,))
+            assert rng.random(doubles).tolist() == gen.random(doubles).tolist()
+            assert rng.pick(values) == reference_draw(gen, "pick", (values,))
 
-    def test_random_array_continues_the_stream(self):
+    def test_block_draws_continue_the_stream(self):
         rng, gen = SeededRng(5).substream("resources"), unbuffered(5, "resources")
         for n in (3, 1024, 0, 1):
             assert [rng.random() for _ in range(n)] == [float(gen.random()) for _ in range(n)]
-            assert rng.random_array(n).tolist() == gen.random(n).tolist()
+            assert rng.random(n).tolist() == gen.random(n).tolist()
             assert rng.uniform(1, 2) == float(gen.uniform(1, 2))
 
     @pytest.mark.parametrize("a, b", shipped_uniform_params())
@@ -204,6 +206,31 @@ class TestDistributions:
         assert to_ms(1.5) == 2
         assert to_ms(2.5) == 2
         assert to_ms(-3.0) == 0
+        values = [0.5, 1.5, 2.5, -3.0, 7.499999999999999, 1e12 + 0.5]
+        assert to_ms(np.array(values)).tolist() == [to_ms(v) for v in values]
+
+    @pytest.mark.parametrize("kinds", [("constant", "uniform"), ("uniform", "uniform", "constant"),
+                                       ("normal", "uniform"), ("uniform", "empirical", "constant")])
+    @pytest.mark.parametrize("n", [0, 1, 5, 1025])
+    def test_sample_rows_equal_single_samples(self, kinds, n):
+        examples = {"constant": constant(7.5), "uniform": uniform(-4, 90.25),
+                    "normal": normal(10, 30), "empirical": empirical([1, 2.5, 40])}
+        dists = [examples[k] for k in kinds]
+        block_rng, single_rng = SeededRng(3).substream("workload"), SeededRng(3).substream("workload")
+        rows = sample_rows(block_rng, dists, n)
+        assert rows.shape == (n, len(dists))
+        assert rows.tolist() == [[float(d.sample(single_rng)) for d in dists] for _ in range(n)]
+        assert block_rng.random() == single_rng.random()
+
+    def test_sample_rows_last_row_omits_trailing_draws(self):
+        # a run's last item draws no gap: the last row stops before its last distribution
+        dists = [uniform(0, 10), normal(5, 1), uniform(100, 200)]
+        block_rng, single_rng = SeededRng(9), SeededRng(9)
+        rows = sample_rows(block_rng, dists, 4, omit_last=1)
+        expected = [[float(d.sample(single_rng)) for d in dists] for _ in range(3)]
+        expected.append([float(d.sample(single_rng)) for d in dists[:2]] + [0.0])
+        assert rows.tolist() == expected
+        assert block_rng.random() == single_rng.random()
 
 
 class TestEventLoop:
@@ -216,14 +243,15 @@ class TestEventLoop:
         loop.run()
         assert seen == sorted(seen)
 
-    def test_equal_time_priority_order(self):
+    def test_equal_time_events_run_in_schedule_order(self):
         clock = Clock()
         loop = EventLoop(clock)
         seen = []
-        loop.schedule(10, lambda: seen.append("flush"), priority=1)
-        loop.schedule(10, lambda: seen.append("arrive"), priority=0)
+        loop.schedule(10, lambda: seen.append("first"))
+        loop.schedule(5, lambda: seen.append("earlier"))
+        loop.schedule(10, lambda: seen.append("second"))
         loop.run()
-        assert seen == ["arrive", "flush"]
+        assert seen == ["earlier", "first", "second"]
 
     def test_replay_never_decreases(self):
         rng = SeededRng(17)
@@ -243,17 +271,6 @@ class TestEventLoop:
         loop = EventLoop(clock)
         with pytest.raises(TimeRegression):
             loop.schedule(50, lambda: None)
-
-    def test_run_until_leaves_later_events_queued(self):
-        clock = Clock()
-        loop = EventLoop(clock)
-        seen = []
-        for t in (10, 20, 30):
-            loop.schedule(t, lambda t=t: seen.append(t))
-        assert loop.run(until=20) == 20
-        assert seen == [10, 20]
-        assert loop.run() == 30
-        assert seen == [10, 20, 30]
 
     def test_schedule_is_checked_against_the_running_event_not_the_clock(self):
         class LateClock:  # a wall clock that reads later than the event it runs

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from edgebench import runner
 from edgebench.config import ScenarioConfig
 from edgebench.runner import run_scenario, write_artifacts
 
@@ -144,6 +145,19 @@ def test_corpus_digests(chunk, tmp_path):
     wrong = [case for case in range(chunk, CASES, 4)
              if digests(case, tmp_path / str(case)) != pinned[f"case-{case:03d}"]]
     assert wrong == [], f"cases whose csv, report or blob listing changed: {wrong}"
+
+
+# window, chunk, window+chunk and immediate hubs with and without drops, skew both ways,
+# scalar readings, normal kinds and cloud runs, all just around one 1024-id block
+BLOCK_CASES = (1, 8, 13, 18, 46, 57, 67, 111, 153)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000])
+def test_digests_do_not_depend_on_block_size(block, tmp_path, monkeypatch):
+    monkeypatch.setattr(runner, "BLOCK", block)
+    pinned = _pinned()
+    wrong = [case for case in BLOCK_CASES if digests(case, tmp_path / str(case)) != pinned[f"case-{case:03d}"]]
+    assert wrong == [], f"cases whose outputs changed with {block}-id blocks: {wrong}"
 
 
 if __name__ == "__main__":

@@ -1,29 +1,35 @@
 """Hub write policies: T2 stamping, immediate blobs, window/chunk batching."""
 
+import numpy as np
 import pytest
 
-from edgebench.core import Clock, EventLoop, SeededRng, constant
+from edgebench.core import SeededRng, constant
 from edgebench.hub import Hub, HubPolicy
 from edgebench.metrics import RunTable
+from edgebench.storage import BlobStore
 
 
-def run_hub(policy, arrivals, payload_bytes=100, seed=0):
-    """Drive a hub with messages arriving at the given times.
+def run_hub(policy, arrivals, payload_bytes=100, seed=0, block=3):
+    """Drive a hub with messages arriving at the given times, ``block`` arrivals per ingest.
 
     Returns (table, blobs): the run table the hub stamped T2 into, and a
-    list of (message ids, created_at) per blob.
+    list of (message ids, created_at) per blob, in creation order.
     """
-    clock = Clock()
-    loop = EventLoop(clock)
-    blobs = []
     table = RunTable(len(arrivals))
-    hub = Hub(policy, loop, SeededRng(seed).substream("hub"), table,
-              lambda ids, t: blobs.append((list(ids), t)))
-    for i, t in enumerate(arrivals):
-        table.payload[i] = payload_bytes
-        loop.schedule(t, lambda i=i, at=t: hub.ingest(i, at), priority=0)
-    loop.run()
-    return table, blobs
+    table.started = len(arrivals)
+    table.payload[:] = payload_bytes
+    store = BlobStore(table)
+    hub = Hub(policy, SeededRng(seed).substream("hub"), table, store.schedule)
+    arrivals = np.array(arrivals, dtype=np.int64)
+    for first in range(0, len(arrivals), block):
+        ids = np.arange(first, min(first + block, len(arrivals)))
+        hub.ingest(ids, arrivals[ids])
+        if ids[-1] + 1 < len(arrivals):
+            store.settle(int(arrivals[ids[-1] + 1]))  # later messages arrive from then on
+    hub.close(int(arrivals[-1]))
+    store.settle()
+    by_index = sorted(store.list_blobs(), key=lambda b: b.name)
+    return table, [(b.message_ids, b.created_at) for b in by_index]
 
 
 def residences(table, blobs):
@@ -124,7 +130,9 @@ class TestBatched:
         assert abs(mean - expected) / expected < 0.02
 
     def test_blob_contents_in_t2_order(self):
-        table, blobs = run_hub(self.windowed(60), [5000, 1000, 9000][::-1])
+        # arrivals come in time order (per-source FIFO), ties included
+        table, blobs = run_hub(self.windowed(60), [1000, 5000, 5000, 9000, 61_000, 61_000, 130_000])
+        assert [ids for ids, _ in blobs] == [[0, 1, 2, 3], [4, 5], [6]]
         for ids, _ in blobs:
             t2s = [table.t2[mid] for mid in ids]
             assert t2s == sorted(t2s)

@@ -223,9 +223,9 @@ class TestLiveFailures:
     def test_lost_message_fails_the_run(self, mode, monkeypatch):
         ingest = Hub.ingest
 
-        def lossy_ingest(hub, msg_id, arrival):
-            if msg_id != 1:
-                return ingest(hub, msg_id, arrival)
+        def lossy_ingest(hub, ids, arrival):
+            kept = ids != 1
+            return ingest(hub, ids[kept], arrival[kept])
 
         monkeypatch.setattr(Hub, "ingest", lossy_ingest)
         with pytest.raises(IncompleteRecord, match="message 1"):

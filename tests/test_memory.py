@@ -1,9 +1,13 @@
-"""Memory guard: what a finished run retains per message.
+"""Memory guards: what a finished run retains per message, and what a run holds on top.
 
 tracemalloc counts the bytes a finished ``run_scenario`` result still
 holds; the difference between two run sizes, divided by the difference
-in messages, is what each extra message costs. It covers the fixtures
-of the three benchmark workloads: batched, immediate-scalar and cloud.
+in messages, is what each extra message costs. The transient memory of
+a run, its peak minus what it retains, must not grow with the run: the
+engine, the hub, the blob store and the report work on bounded blocks
+of messages, so a whole-run temporary (8 B per message for one int64
+array) shows up as growth. Both cover the fixtures of the three
+benchmark workloads: batched, immediate-scalar and cloud.
 """
 
 import gc
@@ -17,6 +21,10 @@ from edgebench.runner import run_scenario
 
 SMALL, LARGE = 1_000, 5_000
 MAX_BYTES_PER_MSG = 150
+FIXTURES = ["acceptance-10k", "greengrass-scalar", "aws-cloud-image"]
+# transient sizes: the smaller holds more than one block of every stage
+TRANSIENT_SMALL, TRANSIENT_LARGE = 10_000, 40_000
+MAX_TRANSIENT_GROWTH = 64 * 1024  # one whole-run int64 temporary would add ~240 KB
 
 
 def retained_bytes(config) -> int:
@@ -31,11 +39,37 @@ def retained_bytes(config) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("fixture", ["acceptance-10k", "greengrass-scalar", "aws-cloud-image"])
-def test_retained_bytes_per_message(fixture):
+def transient_bytes(config) -> int:
+    """Peak traced memory during ``run_scenario`` minus what its result retains."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run_scenario(config)  # noqa: F841 -- alive while its size is read
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+        return peak - retained
+    finally:
+        tracemalloc.stop()
+
+
+def sized(fixture, *items):
     config = load_fixture(f"scenarios/{fixture}")
-    sized = [replace(config, workload=replace(config.workload, items=n)) for n in (SMALL, LARGE)]
-    run_scenario(sized[0])  # first-use allocations of numpy and the runner are not per message
-    small, large = (retained_bytes(c) for c in sized)
+    return [replace(config, workload=replace(config.workload, items=n)) for n in items]
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_retained_bytes_per_message(fixture):
+    configs = sized(fixture, SMALL, LARGE)
+    run_scenario(configs[0])  # first-use allocations of numpy and the runner are not per message
+    small, large = (retained_bytes(c) for c in configs)
     per_msg = (large - small) / (LARGE - SMALL)
     assert per_msg < MAX_BYTES_PER_MSG, f"{fixture}: {per_msg:.0f} B retained per message"
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_transient_memory_does_not_grow_with_the_run(fixture):
+    configs = sized(fixture, TRANSIENT_SMALL, TRANSIENT_LARGE)
+    run_scenario(configs[0])  # first-use allocations of numpy and the runner are not per message
+    small, large = (transient_bytes(c) for c in configs)
+    assert large - small < MAX_TRANSIENT_GROWTH, (
+        f"{fixture}: transient {small} B at {TRANSIENT_SMALL} messages, {large} B at {TRANSIENT_LARGE}")

@@ -13,6 +13,7 @@ from edgebench.metrics import (
     CSV_COLUMNS,
     EmptyRun,
     IncompleteRecord,
+    SCAN_ROWS,
     RunTable,
     aggregate,
     config_fingerprint,
@@ -113,6 +114,21 @@ class TestAggregate:
         values = [2**62, 2**62 + 1, 3, 2**61]  # their sum overflows int64
         report = aggregate(self.rows_with_e2e(values))
         assert report.aggregates["e2e_ms"]["mean"] == sum(values) / len(values)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, SCAN_ROWS, SCAN_ROWS + 1, 3 * SCAN_ROWS + 5])
+    @pytest.mark.parametrize("spread", [0, 3, 10**6, 2**61])
+    def test_median_and_p95_are_the_sorted_column_ranks(self, n, spread):
+        # selected without a sort, over every block, with some messages dropped
+        gen = np.random.default_rng(n + spread)
+        e2e = gen.integers(-spread, spread + 1, size=n)
+        table = self.rows_with_e2e(e2e.tolist())
+        table.dropped[gen.random(n) < 0.1] = True
+        table.dropped[0] = False
+        values = sorted(e2e[~table.dropped].tolist())
+        agg = aggregate(table).aggregates["e2e_ms"]
+        assert agg["median"] == float(nearest_rank(values, 50))
+        assert agg["p95"] == float(nearest_rank(values, 95))
+        assert agg["mean"] == sum(values) / len(values)
 
     def test_empty_run(self):
         with pytest.raises(EmptyRun):

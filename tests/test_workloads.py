@@ -23,29 +23,44 @@ def make_clock(skew=0):
     return Clock(skew_edge_ms=skew)
 
 
+def scalar_spec(freq_hz, interval_s=1, items=1):
+    return WorkloadSpec(kind="scalar", items=items, scalar_freq_hz=freq_hz, scalar_interval_s=interval_s)
+
+
 class TestScalarBatch:
     def test_ten_values_at_ten_hz(self):
-        body = scalar_batch_body(10, 1, SeededRng(0))
-        assert len(json.loads(body)) == 10
+        *_, bodies, _ = run_item(scalar_spec(10), 0, 1, make_clock(), SeededRng(0), texts=True)
+        assert len(json.loads(bodies[0])) == 10
 
     def test_subunit_rate_gives_empty_batch(self):
-        assert scalar_batch_body(0.5, 1, SeededRng(0)) == "[]"
+        _, _, payload, bodies, _ = run_item(scalar_spec(0.5), 0, 1, make_clock(), SeededRng(0), texts=True)
+        assert bodies == ["[]"]
+        assert payload.tolist() == [2]
 
     def test_payload_matches_serialized_length(self):
-        spec = WorkloadSpec(kind="scalar", items=1, scalar_freq_hz=12, scalar_interval_s=1)
-        _, _, payload, body = run_item(spec, 0, make_clock(), SeededRng(1))
-        assert payload == len(body.encode("utf-8"))
+        spec = scalar_spec(12, items=40)
+        _, _, payload, bodies, _ = run_item(spec, 0, 40, make_clock(), SeededRng(1), texts=True)
+        assert payload.tolist() == [len(body.encode("utf-8")) for body in bodies]
+
+    @pytest.mark.parametrize("count", [0, 1, 12])
+    def test_size_formula_equals_json_length(self, count):
+        # 2 + (count - 1) + sum of the readings' repr lengths, against json.dumps itself;
+        # readings below 1e-4 print in exponent form
+        readings = SeededRng(6).random(300 * count).reshape(300, count)
+        readings[::3] *= 1e-5
+        readings[1::7] = 0.0
+        expected = [len(json.dumps(row, separators=(",", ":"))) for row in readings.tolist()]
+        assert scalar_batch_body(readings).tolist() == expected
 
     def test_calibrated_payload_near_234_bytes(self):
-        rng = SeededRng(42)
-        sizes = [len(scalar_batch_body(12, 1, rng).encode("utf-8")) for _ in range(500)]
-        assert abs(sum(sizes) / len(sizes) - 234) < 12
+        sizes = scalar_batch_body(SeededRng(42).random(500 * 12).reshape(500, 12))
+        assert abs(sizes.mean() - 234) < 12
 
     def test_invalid_rate(self):
         with pytest.raises(InvalidRate):
-            scalar_batch_body(0, 1, SeededRng(0))
+            scalar_spec(0)
         with pytest.raises(InvalidRate):
-            scalar_batch_body(1, -2, SeededRng(0))
+            scalar_spec(1, -2)
 
 
 class TestRunItem:
@@ -54,53 +69,63 @@ class TestRunItem:
                             result_payload_bytes=constant(162))
 
     def test_audio_profile_compute(self):
-        c_edge, *_ = run_item(self.audio_spec(4770), 0, make_clock(), SeededRng(0))
-        assert c_edge == 4770
+        c_edge, *_ = run_item(self.audio_spec(4770), 0, 3, make_clock(), SeededRng(0))
+        assert c_edge.tolist() == [4770] * 3
 
     def test_container_platform_compute(self):
-        c_edge, *_ = run_item(self.audio_spec(6000), 0, make_clock(), SeededRng(0))
-        assert c_edge == 6000
+        c_edge, *_ = run_item(self.audio_spec(6000), 0, 3, make_clock(), SeededRng(0))
+        assert c_edge.tolist() == [6000] * 3
 
     def test_image_payload(self):
         # a modeled payload has a size only; a persisted blob gets a body of exactly that size
         spec = WorkloadSpec(kind="image", items=500, result_payload_bytes=constant(752))
-        _, _, payload, body = run_item(spec, 0, make_clock(), SeededRng(0))
-        assert payload == 752
-        assert body is None
-        assert len(synthesize_body(DEVICE, 0, payload).encode()) == 752
+        _, _, payload, bodies, _ = run_item(spec, 0, 1, make_clock(), SeededRng(0), texts=True)
+        assert payload.tolist() == [752]
+        assert bodies is None
+        assert len(synthesize_body(DEVICE, 0, 752).encode()) == 752
 
     def test_t1_is_now_plus_compute_plus_skew(self):
         clock = make_clock(skew=25)
         clock.advance(1000)
         spec = self.audio_spec(4770)
-        _, t1, _, _ = run_item(spec, 0, clock, SeededRng(0))
-        assert t1 == 1000 + 4770 + 25
+        _, t1, _, _, _ = run_item(spec, 0, 1, clock, SeededRng(0))
+        assert t1.tolist() == [1000 + 4770 + 25]
 
     def test_exhausted(self):
         spec = self.audio_spec(10)
         with pytest.raises(ExhaustedWorkload):
-            run_item(spec, 104, make_clock(), SeededRng(0))
+            run_item(spec, 104, 1, make_clock(), SeededRng(0))
+        with pytest.raises(ExhaustedWorkload):
+            run_item(spec, 100, 5, make_clock(), SeededRng(0))
 
     def test_sequential_contract(self):
         # message k's t1 >= message (k-1)'s t1 + c_edge(k): no overlap
         spec = WorkloadSpec(kind="custom", items=50, compute_ms=uniform(0, 100),
                             inter_item_gap_ms=uniform(0, 30),
                             result_payload_bytes=constant(10))
-        clock = make_clock()
-        rng = SeededRng(5)
-        prev_t1 = None
-        now = 0
-        for idx in range(spec.items):
-            clock.advance(now)
-            c_edge, t1, _, _ = run_item(spec, idx, clock, rng)
-            if prev_t1 is not None:
-                assert t1 >= prev_t1 + c_edge
-            prev_t1 = t1
-            now = now + c_edge + spec.gap_ms(rng)
+        c_edge, t1, _, _, next_start = run_item(spec, 0, 50, make_clock(), SeededRng(5))
+        assert all(t1[k] >= t1[k - 1] + c_edge[k] for k in range(1, 50))
+        assert next_start is None  # the run's last item draws no gap
+
+    def test_block_equals_items_one_at_a_time(self):
+        spec = WorkloadSpec(kind="custom", items=7, compute_ms=normal(40, 30),
+                            input_bytes_per_item=uniform(0, 9), inter_item_gap_ms=uniform(0, 30),
+                            result_payload_bytes=empirical([5, 10, 15]))
+        whole = run_item(spec, 0, 7, make_clock(), SeededRng(8))
+        clock, rng, single = make_clock(), SeededRng(8), []
+        for idx in range(7):
+            single.append(run_item(spec, idx, 1, clock, rng))
+            if single[-1][4] is not None:
+                clock.advance(single[-1][4])
+        for k in range(3):
+            assert whole[k].tolist() == [int(s[k][0]) for s in single]
 
     def test_scalar_cadence_follows_interval(self):
-        spec = WorkloadSpec(kind="scalar", items=5, scalar_freq_hz=4, scalar_interval_s=2.5)
-        assert spec.gap_ms(SeededRng(0)) == 2500
+        spec = WorkloadSpec(kind="scalar", items=5, compute_ms=constant(7), scalar_freq_hz=4,
+                            scalar_interval_s=2.5)
+        _, t1, _, _, next_start = run_item(spec, 0, 3, make_clock(), SeededRng(0))
+        assert t1.tolist() == [7, 7 + 2507, 7 + 2 * 2507]
+        assert next_start == 3 * 2507
 
 
 class TestWorkloadTotals:
