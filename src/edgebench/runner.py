@@ -154,7 +154,9 @@ def _drive_edge(run: Run, loop: EventLoop, block: int) -> None:
             hub.close(end)
             loop.schedule(max(end, store.latest), store.settle)
             return
-        store.settle(next_start)  # later messages are sent, so arrive and are stored, from then on
+        # later messages are sent, so arrive and are stored, from then on; an open
+        # window batch may be due before that, but after every blob decided so far
+        store.settle(next_start)
         loop.schedule(next_start, lambda: start_block(first + count))
 
     loop.schedule(round(spec.warmup_delay_s * 1000), lambda: start_block(0))

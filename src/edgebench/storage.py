@@ -68,9 +68,14 @@ class BlobStore:
     def settle(self, horizon: int | None = None) -> None:
         """Create the scheduled blobs due by ``horizon``, in (created_at, first id) order.
 
-        The caller vouches that every blob scheduled after this call is
-        due at or after ``horizon`` and holds later messages; None creates
-        every scheduled blob.
+        The caller vouches that every blob scheduled after this call sorts
+        at or after every blob this call creates, by (created_at, first
+        id); None creates every scheduled blob. A blob scheduled later is
+        most often due at or after ``horizon``, but need not be: a window
+        batch still open at the call is due at its boundary plus the
+        hold-back, which can be earlier, and it sorts after the blobs
+        created now because every one of them is due no later and holds
+        earlier messages.
         """
         rows = np.concatenate([self._pending, *self._scheduled])
         self._scheduled = []

@@ -89,6 +89,28 @@ class TestBatched:
         assert blobs[0][1] == 120_000
         assert residences(table, blobs)[0] == 90_000
 
+    def test_open_window_batch_handed_over_after_a_later_settle(self):
+        # the batch of window (100, 200] is still open when the store settles up
+        # to 600; the next block flushes it, due at 250, and it must still be
+        # numbered after the blob created at 150 and before the one at 650
+        table = RunTable(3)
+        table.started = 3
+        table.payload[:] = 100
+        store = BlobStore(table)
+        hub = Hub(self.windowed(0.1, holdback_s=0.05), SeededRng(0).substream("hub"), table,
+                  store.schedule)
+        hub.ingest(np.array([0, 1]), np.array([10, 150]))
+        store.settle(600)
+        assert [(b.message_ids, b.created_at) for b in store.list_blobs()] == [([0], 150)]
+        hub.ingest(np.array([2]), np.array([600]))
+        assert store.latest == 250
+        hub.close(600)
+        store.settle()
+        blobs = sorted(store.list_blobs(), key=lambda b: b.name)
+        assert [(b.message_ids, b.created_at) for b in blobs] == [([0], 150), ([1], 250), ([2], 650)]
+        assert table.t3.tolist() == [150, 250, 650]
+        assert table.blob.tolist() == [0, 1, 2]
+
     def test_chunk_trigger_flushes_mid_window(self):
         policy = self.windowed(60, chunk=250)
         table, blobs = run_hub(policy, [1000, 2000, 3000], payload_bytes=100)
