@@ -95,7 +95,7 @@ class Link:
         model = self.model
         n = len(payload_bytes)
         kept = np.ones(n, dtype=bool)
-        if model.drop_probability > 0:
+        if model.drop_probability > 0 and model.propagation_ms.kind != "constant":
             flights = []
             for k in range(n):
                 if self._rng.random() < model.drop_probability:
@@ -105,7 +105,10 @@ class Link:
             flight = to_ms(np.array(flights, dtype=float))
             payload_bytes, send_time = payload_bytes[kept], send_time[kept]
         else:
-            flight = to_ms(sample_rows(self._rng, (model.propagation_ms,), n)[:, 0])
+            if model.drop_probability > 0:  # a constant propagation draws nothing: the drops are one block
+                kept = self._rng.random(n) >= model.drop_probability
+                payload_bytes, send_time = payload_bytes[kept], send_time[kept]
+            flight = to_ms(sample_rows(self._rng, (model.propagation_ms,), len(send_time))[:, 0])
         overhead = model.per_message_overhead_bytes
         flight += model.serialization_ms(payload_bytes + overhead)
         last = self._last_arrival.get(source, 0)

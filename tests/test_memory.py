@@ -17,7 +17,9 @@ from dataclasses import replace
 import pytest
 
 from edgebench.config import load_fixture
+from edgebench.core import SeededRng
 from edgebench.runner import run_scenario
+from edgebench.workloads import scalar_batch_body
 
 SMALL, LARGE = 1_000, 5_000
 MAX_BYTES_PER_MSG = 150
@@ -25,6 +27,9 @@ FIXTURES = ["acceptance-10k", "greengrass-scalar", "aws-cloud-image"]
 # transient sizes: the smaller holds more than one block of every stage
 TRANSIENT_SMALL, TRANSIENT_LARGE = 10_000, 40_000
 MAX_TRANSIENT_GROWTH = 64 * 1024  # one whole-run int64 temporary would add ~240 KB
+# the scalar sizing kernel works on slices of readings; whole-block float64
+# temporaries of a 1024 x 12 block would take ~100 KB each
+MAX_SCALAR_BODY_PEAK = 256 * 1024
 
 
 def retained_bytes(config) -> int:
@@ -73,3 +78,16 @@ def test_transient_memory_does_not_grow_with_the_run(fixture):
     small, large = (transient_bytes(c) for c in configs)
     assert large - small < MAX_TRANSIENT_GROWTH, (
         f"{fixture}: transient {small} B at {TRANSIENT_SMALL} messages, {large} B at {TRANSIENT_LARGE}")
+
+
+def test_scalar_body_sizing_works_in_bounded_slices():
+    readings = SeededRng(1).random(1024 * 14).reshape(1024, 14)[:, 2:]  # one block, as run_item passes it
+    scalar_batch_body(readings)  # first-use allocations of numpy
+    gc.collect()
+    tracemalloc.start()
+    try:
+        scalar_batch_body(readings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < MAX_SCALAR_BODY_PEAK, f"scalar_batch_body peaked at {peak} B on one block"

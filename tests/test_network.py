@@ -80,6 +80,18 @@ class TestDeliver:
         assert block == single
         assert 0 < block.count(None) < 300
 
+    def test_constant_propagation_drops_draw_as_one_message_at_a_time(self):
+        # constant propagation draws nothing, so the block's drops are one random(n) of the stream
+        model = LinkModel(propagation_ms=constant(40), bandwidth_bytes_per_s=5000, drop_probability=0.3)
+        sends = [k * 7 for k in range(300)]
+        block_rng, single_rng = (SeededRng(4).substream("link") for _ in range(2))
+        block = deliver(Link(model, ByteLedger(), block_rng), [50 + k for k in range(300)], sends)
+        link = Link(model, ByteLedger(), single_rng)
+        single = [deliver(link, [50 + k], [t])[0] for k, t in enumerate(sends)]
+        assert block == single
+        assert 0 < block.count(None) < 300
+        assert block_rng.random() == single_rng.random()
+
     def test_drop_probability_zero_delivers_all(self):
         link = make_link(LinkModel(drop_probability=0.0))
         results = deliver(link, [10] * 100, list(range(100)))

@@ -2,13 +2,18 @@
 
 import itertools
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from edgebench.core import Clock, SeededRng, constant, empirical, normal, uniform
 from edgebench.config import load_fixture
 from edgebench.runner import CLOUD_FUNCTION_SOURCE, DEVICE, RESOURCE_CHUNK, run_scenario
 from edgebench.workloads import (
+    SIZE_SLICE,
     ExhaustedWorkload,
     InvalidRate,
     ResourceProfile,
@@ -61,6 +66,67 @@ class TestScalarBatch:
             scalar_spec(0)
         with pytest.raises(InvalidRate):
             scalar_spec(1, -2)
+
+
+def repr_lengths(values):
+    return [len(repr(v)) for v in values]
+
+
+def kernel_lengths(values):
+    """len(repr(v)) per value, as scalar_batch_body sizes one-reading rows."""
+    return (scalar_batch_body(np.array(values, dtype=float).reshape(-1, 1)) - 2).tolist()
+
+
+def around(x, steps=40):
+    """``x`` and the ``steps`` doubles on each side of it."""
+    below, above = [x], [x]
+    for _ in range(steps):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[::-1] + above[1:]
+
+
+class TestReprLengthKernel:
+    """scalar_batch_body's array kernel gives len(repr(x)) exactly."""
+
+    @given(st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=64))
+    def test_any_double_in_unit_interval(self, values):
+        assert kernel_lengths(values) == repr_lengths(values)
+
+    def test_a_million_uniform_draws(self):
+        values = SeededRng(2024).random(10**6)
+        assert kernel_lengths(values) == repr_lengths(values.tolist())
+
+    def test_boundaries(self):
+        values = [v for k in range(8) for v in around(10.0 ** -k)]
+        values += [0.0, 2**-53, 5e-324, 0.09999999999999999, 9.999999999999999e-05, 0.9999999999999999]
+        assert kernel_lengths(values) == repr_lengths(values)
+
+    def test_sixteen_nines_below_a_decade(self):
+        # just below each decade; the 16-digit significand 9999999999999999 is 1e16 as a double
+        values = [float(f"{digits}e-{k}") for k in range(1, 6) for digits in ("9.999999999999999", "9.99999999999999")]
+        assert kernel_lengths(values) == repr_lengths(values)
+
+    def test_products_above_2_to_53(self):
+        # x * 1e16 > 2**53 for x >= 0.9007: rint of the rounded product alone misses the nearest integer
+        values = 0.9007 + 0.0993 * SeededRng(9).random(20_000)
+        assert kernel_lengths(values) == repr_lengths(values.tolist())
+
+    def test_short_decimals_and_their_neighbours(self):
+        # 14 or fewer digits go to repr; 15- and 16-digit decimals are decided by the kernel
+        draws = SeededRng(3).random(400)
+        values = [v for digits in range(1, 18) for x in draws for v in around(float(f"{x:.{digits}g}"), 1)]
+        assert kernel_lengths(values) == repr_lengths(values)
+
+    def test_values_outside_the_kernel_range(self):
+        values = [-0.0, -0.5, 1.0, 1.5, 123.25, 1e16, 1e300, 1e-300, float("nan"), float("inf"), -float("inf")]
+        assert kernel_lengths(values) == repr_lengths(values)
+
+    @pytest.mark.parametrize("rows", [1, SIZE_SLICE // 12, SIZE_SLICE // 12 + 1, 1024, 1025])
+    def test_rows_across_slices(self, rows):
+        readings = SeededRng(rows).random(rows * 14).reshape(rows, 14)[:, 2:]  # a strided view, as run_item passes
+        expected = [len(json.dumps(row, separators=(",", ":"))) for row in readings.tolist()]
+        assert scalar_batch_body(readings).tolist() == expected
 
 
 class TestRunItem:
