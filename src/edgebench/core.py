@@ -13,6 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy 2 loads numpy.random on first access; importing it here keeps that
+# ~10 ms and ~2 MB out of a run
+from numpy.random import PCG64, Generator, SeedSequence
 
 MS_PER_S = 1000
 
@@ -97,8 +100,8 @@ class SeededRng:
         return self.seed & (2**64 - 1)  # SeedSequence wants non-negative entropy
 
     @staticmethod
-    def _make_generator(entropy: tuple) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    def _make_generator(entropy: tuple) -> Generator:
+        return Generator(PCG64(SeedSequence(entropy)))
 
     def substream(self, name: str) -> "SeededRng":
         child = SeededRng.__new__(SeededRng)

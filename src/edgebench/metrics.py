@@ -23,12 +23,17 @@ CSV_COLUMNS = ("id", "c_edge_ms", "t1", "t2", "t3", "flight_ms", "residence_ms",
 METRIC_NAMES = ("c_edge_ms", "flight_ms", "residence_ms", "e2e_ms", "payload_bytes")
 SCHEMA_VERSION = 1
 UNSET = -(2**63)  # a RunTable cell not yet written; timestamps can be negative under skew
-# Rows formatted per write; bounds the export's memory. At 1024 rows a
-# chunk's buffers (~74 KB of int64, its tuple, the formatted text) stay
-# below glibc's 128 KiB mmap threshold. Larger ones were mapped and
-# unmapped, which moves that threshold, and peak RSS then varied by ~4%
-# with the heap's layout alone.
+# Rows formatted per write; bounds the export's memory. At 1024 rows each
+# of a chunk's buffers stays below glibc's 128 KiB mmap threshold: the
+# writer's three int64 matrices of the chunk's 9 columns (74 KB each), its
+# NUL-padded text, the bytes copy of that and the text without NULs (66, 66
+# and 48 KB on edge-batched; a line reaches 128 B only when fields have 13
+# or more digits). Larger ones were mapped and unmapped, which moves that
+# threshold, and peak RSS then varied by ~4% with the heap's layout alone.
+# One edge-batched chunk peaks at ~300 KB of traced memory (~480 KB with
+# the former `%` writer); tests/test_memory.py bounds it.
 CSV_CHUNK = 1024
+GROUP = 10_000  # the CSV writer's digit groups: four decimal digits each
 # Started rows a report scan reads at a time; bounds its memory. A report
 # makes three or more scans, whose cost is mostly numpy's per-call
 # overhead per block: aggregating the 2e4 messages of acceptance-10k took
@@ -278,14 +283,81 @@ def aggregate(
 def rows_to_csv(table: RunTable, out: BinaryIO) -> None:
     """Write the fixed-column CSV of the delivered messages to ``out``.
 
-    Rows are formatted CSV_CHUNK at a time; the bytes are identical for
-    identical runs.
+    Rows are formatted CSV_CHUNK at a time by :func:`_csv_text`, whose
+    bytes are those of ``"%d,%d,...\\n" % row`` for every row; the bytes
+    are identical for identical runs.
     """
     out.write((",".join(CSV_COLUMNS) + "\n").encode())
-    line = ",".join(["%d"] * len(CSV_COLUMNS)) + "\n"
     for ids in table.delivered_blocks(CSV_CHUNK):
-        chunk = np.column_stack(list(_columns(table, ids).values()))
-        out.write((line * len(chunk) % tuple(chunk.ravel().tolist())).encode())
+        if ids.size:
+            out.write(_csv_text(np.stack(list(_columns(table, ids).values()))))
+
+
+def _group_words(zero: bytes) -> np.ndarray:
+    """The text of base-10**4 digit groups as uint32 words of four ASCII bytes.
+
+    Index ``q`` in [0, GROUP) is a group below a value's leading group:
+    ``%04d`` of q. Index ``q - GROUP``, negative, is a leading group q:
+    the same text with its leading zeros NUL bytes, and ``zero`` for
+    q = 0, which is a units group of 0 or a group above the leading one.
+    """
+    n = np.arange(GROUP)
+    digits = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1)
+    text = (digits + ord("0")).astype(np.uint8)
+    lead = np.where(np.cumsum(digits, axis=1) > 0, text, 0).astype(np.uint8)
+    lead[0] = np.frombuffer(zero, np.uint8)
+    return np.concatenate([text, lead]).view(np.uint32).ravel()  # index q - GROUP counts from the end: lead[q]
+
+
+_UNITS = _group_words(b"\0\0\0" b"0")
+_UPPER = _group_words(b"\0\0\0\0")
+
+
+def _csv_text(x: np.ndarray) -> bytes:
+    """The CSV lines of an int64 matrix's columns, one column per field, as ``%d`` formats them.
+
+    Each field is a fixed number of bytes in every line: a sign byte if
+    its row of ``x`` has a negative value, then four digits for each
+    base-10**4 group that the row's largest magnitude has, then a comma
+    or, after the last field, a newline. The sign byte is ``-`` or NUL.
+    Groups are split from the exact magnitude by integer division; a
+    value's leading group has its leading zeros as NUL bytes and every
+    group above it is all NUL (:func:`_group_words`). Each field thus
+    holds the ``%d`` text of its value with NUL bytes inserted, and
+    ``%d`` text has no NUL, so deleting every NUL leaves exactly the
+    ``%d`` lines. ``x`` is overwritten.
+    """
+    minus = x < 0
+    negative = minus.any(axis=1).tolist()
+    if any(negative):
+        x = x.view(np.uint64)
+        np.negative(x, out=x, where=minus)  # the magnitudes, exact for -2**63 too
+    groups = [(len(str(top)) + 3) // 4 for top in x.max(axis=1).tolist()]
+    template, fields = bytearray(), []
+    for neg, g in zip(negative, groups):
+        fields.append(len(template))
+        template += bytes(neg + 4 * g) + b","
+    template[-1:] = b"\n"
+    buf = np.empty((x.shape[1], len(template)), np.uint8)
+    buf[:] = np.frombuffer(template, np.uint8)
+    words = []
+    for c, (start, neg, g) in enumerate(zip(fields, negative, groups)):
+        if neg:
+            np.multiply(minus[c], ord("-"), out=buf[:, start], casting="unsafe")
+        words.append(buf[:, start + neg:start + neg + 4 * g].view(np.uint32))
+    low, high, step = x, np.empty_like(x), np.empty_like(x)
+    for k in range(max(groups)):
+        np.floor_divide(low, GROUP, out=high)
+        np.maximum(high, 1, out=step)
+        step *= GROUP
+        low -= step  # group q, or q - GROUP if no higher group is nonzero: an index of _group_words
+        table = _UPPER if k else _UNITS
+        for c, g in enumerate(groups):
+            if k < g:
+                np.take(table, low[c].view(np.int64), out=words[c][:, g - 1 - k])
+        low, high = high, low
+    del x, minus, low, high, step  # freed before the two copies of the text
+    return buf.tobytes().translate(None, b"\0")
 
 
 def report_to_json(report: RunReport) -> bytes:

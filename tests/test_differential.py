@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from edgebench import runner
+from edgebench import metrics, runner
 from edgebench.config import ScenarioConfig
 from edgebench.runner import run_scenario, write_artifacts
 
@@ -158,6 +158,15 @@ def test_digests_do_not_depend_on_block_size(block, tmp_path, monkeypatch):
     pinned = _pinned()
     wrong = [case for case in BLOCK_CASES if digests(case, tmp_path / str(case)) != pinned[f"case-{case:03d}"]]
     assert wrong == [], f"cases whose outputs changed with {block}-id blocks: {wrong}"
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+def test_csv_does_not_depend_on_chunk_size(chunk, tmp_path, monkeypatch):
+    # each chunk sizes its own fields, so a boundary bug would show here
+    monkeypatch.setattr(metrics, "CSV_CHUNK", chunk)
+    pinned = _pinned()
+    wrong = [case for case in BLOCK_CASES if digests(case, tmp_path / str(case))[0] != pinned[f"case-{case:03d}"][0]]
+    assert wrong == [], f"cases whose metrics.csv changed with {chunk}-row chunks: {wrong}"
 
 
 if __name__ == "__main__":

@@ -6,11 +6,13 @@ in messages, is what each extra message costs. The transient memory of
 a run, its peak minus what it retains, must not grow with the run: the
 engine, the hub, the blob store and the report work on bounded blocks
 of messages, so a whole-run temporary (8 B per message for one int64
-array) shows up as growth. Both cover the fixtures of the three
-benchmark workloads: batched, immediate-scalar and cloud.
+array) shows up as growth. The same holds for writing a run's
+artifacts. All cover the fixtures of the three benchmark workloads:
+batched, immediate-scalar and cloud.
 """
 
 import gc
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -18,7 +20,8 @@ import pytest
 
 from edgebench.config import load_fixture
 from edgebench.core import SeededRng
-from edgebench.runner import run_scenario
+from edgebench.metrics import CSV_CHUNK, rows_to_csv
+from edgebench.runner import run_scenario, write_artifacts
 from edgebench.workloads import scalar_batch_body
 
 SMALL, LARGE = 1_000, 5_000
@@ -30,6 +33,9 @@ MAX_TRANSIENT_GROWTH = 64 * 1024  # one whole-run int64 temporary would add ~240
 # the scalar sizing kernel works on slices of readings; whole-block float64
 # temporaries of a 1024 x 12 block would take ~100 KB each
 MAX_SCALAR_BODY_PEAK = 256 * 1024
+# one edge-batched CSV_CHUNK block peaks at ~316 KB (~480 KB with the
+# former `%` writer, whose chunk tuple held 9216 Python ints)
+MAX_CSV_CHUNK_PEAK = 384 * 1024
 
 
 def retained_bytes(config) -> int:
@@ -44,12 +50,12 @@ def retained_bytes(config) -> int:
         tracemalloc.stop()
 
 
-def transient_bytes(config) -> int:
-    """Peak traced memory during ``run_scenario`` minus what its result retains."""
+def transient_bytes(work) -> int:
+    """Peak traced memory during ``work()`` minus what is still held after it, its result included."""
     gc.collect()
     tracemalloc.start()
     try:
-        result = run_scenario(config)  # noqa: F841 -- alive while its size is read
+        result = work()  # noqa: F841 -- alive while its size is read
         gc.collect()
         retained, peak = tracemalloc.get_traced_memory()
         return peak - retained
@@ -75,7 +81,7 @@ def test_retained_bytes_per_message(fixture):
 def test_transient_memory_does_not_grow_with_the_run(fixture):
     configs = sized(fixture, TRANSIENT_SMALL, TRANSIENT_LARGE)
     run_scenario(configs[0])  # first-use allocations of numpy and the runner are not per message
-    small, large = (transient_bytes(c) for c in configs)
+    small, large = (transient_bytes(lambda: run_scenario(c)) for c in configs)
     assert large - small < MAX_TRANSIENT_GROWTH, (
         f"{fixture}: transient {small} B at {TRANSIENT_SMALL} messages, {large} B at {TRANSIENT_LARGE}")
 
@@ -91,3 +97,28 @@ def test_scalar_body_sizing_works_in_bounded_slices():
     finally:
         tracemalloc.stop()
     assert peak < MAX_SCALAR_BODY_PEAK, f"scalar_batch_body peaked at {peak} B on one block"
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_artifact_memory_does_not_grow_with_the_run(fixture, tmp_path):
+    configs = sized(fixture, TRANSIENT_SMALL, TRANSIENT_LARGE)
+    write_artifacts(run_scenario(configs[0]), tmp_path)  # first-use allocations
+    small, large = (transient_bytes(lambda: write_artifacts(result, tmp_path))
+                    for result in map(run_scenario, configs))
+    assert large - small < MAX_TRANSIENT_GROWTH, (
+        f"{fixture}: writing artifacts took {small} B at {TRANSIENT_SMALL} messages, {large} B at {TRANSIENT_LARGE}")
+
+
+def test_csv_writer_works_in_bounded_chunks():
+    (config,) = sized("acceptance-10k", CSV_CHUNK)
+    table = run_scenario(config).table
+    with open(os.devnull, "wb") as sink:
+        rows_to_csv(table, sink)  # first-use allocations of numpy
+        gc.collect()
+        tracemalloc.start()
+        try:
+            rows_to_csv(table, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < MAX_CSV_CHUNK_PEAK, f"rows_to_csv peaked at {peak} B on one {CSV_CHUNK}-row block"

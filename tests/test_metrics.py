@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from edgebench.core import SeededRng
 from edgebench.metrics import (
@@ -15,6 +17,7 @@ from edgebench.metrics import (
     IncompleteRecord,
     SCAN_ROWS,
     RunTable,
+    _columns,
     aggregate,
     config_fingerprint,
     finalize_row,
@@ -54,6 +57,56 @@ def synthetic_messages(n, seed=0):
         messages.append((c, t1, t1 + flight, t1 + flight + residence, int(rng.uniform(50, 800))))
         t += int(rng.uniform(0, 50))
     return messages
+
+
+INT64_MAX = 2**63 - 1
+# 0, the int64 extremes and the edges of a four-digit group
+EDGES = (0, 1, -1, 9999, 10_000, -10_000, INT64_MAX, -INT64_MAX, -INT64_MAX - 1)
+
+
+@st.composite
+def int64_tables(draw):
+    """A RunTable of any int64 values, some of its rows dropped.
+
+    Each column is arbitrary int64, values of one digit count and either
+    sign, EDGES, or a timeline shifted below zero as negative clock skew
+    leaves it, with a few cells set to drawn int64 values.
+    """
+    n = draw(st.sampled_from([1, 2, 9, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1, 2 * CSV_CHUNK + 3]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = RunTable(n)
+    table.started = n
+    for name in ("c_edge", "t1", "t2", "t3", "payload"):
+        kind = draw(st.sampled_from(["int64", "digits", "edges", "skewed"]))
+        if kind == "int64":
+            values = gen.integers(-INT64_MAX - 1, INT64_MAX, n, endpoint=True)
+        elif kind == "digits":
+            bound = 10 ** draw(st.integers(1, 18))
+            values = gen.integers(1 - bound, bound, n)
+        elif kind == "edges":
+            values = gen.choice(EDGES, n)
+        else:
+            values = np.cumsum(gen.integers(0, 50, n)) - draw(st.integers(0, 10**6))
+        column = getattr(table, name)
+        column[:] = values
+        for i, value in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(-INT64_MAX - 1, INT64_MAX)),
+                                      max_size=3)):
+            column[i] = value
+    drops = draw(st.sampled_from(["none", "some", "block"]))
+    if drops == "some":
+        table.dropped[:] = gen.random(n) < 0.3
+    elif drops == "block":  # a CSV_CHUNK block with no delivered row
+        start = CSV_CHUNK * draw(st.integers(0, (n - 1) // CSV_CHUNK))
+        table.dropped[start:start + CSV_CHUNK] = True
+    return table
+
+
+def percent_d_csv(table):
+    """The oracle: the delivered rows of ``_columns``, formatted by ``%``."""
+    ids = table.delivered()
+    line = ",".join(["%d"] * len(CSV_COLUMNS)) + "\n"
+    values = np.column_stack(list(_columns(table, ids).values())).ravel().tolist()
+    return (",".join(CSV_COLUMNS) + "\n" + line * ids.size % tuple(values)).encode()
 
 
 def csv_bytes(table):
@@ -158,6 +211,21 @@ class TestExport:
         writer.writerows([getattr(r, c) for c in CSV_COLUMNS] for r in metric_rows(table))
         assert csv_bytes(table) == reference.getvalue().encode("utf-8")
         assert len(metric_rows(table)) == CSV_CHUNK + 2
+
+    @given(int64_tables())
+    @example(table_of([  # 0, +-INT64_MAX and -2**63 in every derived column too
+        (0, 0, 0, 0, 0),
+        (0, 0, INT64_MAX, INT64_MAX, 0),
+        (0, 0, -INT64_MAX, -INT64_MAX, -INT64_MAX),
+        (0, 0, -INT64_MAX - 1, -INT64_MAX - 1, -INT64_MAX - 1),
+        (0, 0, 0, INT64_MAX, INT64_MAX),
+        (0, 0, 0, -INT64_MAX, 0),
+        (0, 0, 0, -INT64_MAX - 1, 0),
+        (-INT64_MAX - 1, INT64_MAX, INT64_MAX, INT64_MAX, INT64_MAX),
+        (INT64_MAX, -INT64_MAX - 1, -INT64_MAX - 1, -INT64_MAX - 1, -INT64_MAX - 1),
+    ]))
+    def test_csv_equals_percent_d_on_any_int64_table(self, table):
+        assert csv_bytes(table) == percent_d_csv(table)
 
     def test_json_round_trip(self):
         report = aggregate(table_of(synthetic_messages(50)), label="rt", seed=5,
