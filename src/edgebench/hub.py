@@ -67,10 +67,9 @@ class Hub:
 
     ``ingest`` stamps each message's T2 into the run table and decides
     which blob holds it. Decided blobs are handed to ``on_blob`` as
-    on_blob(created_at, first, end), arrays with one entry per blob: its
-    creation time (the T3 source) and the id range ``[first, end)`` whose
-    delivered messages it holds. A batch holds consecutive arrivals, so
-    flush order is also the order of the batches' first ids.
+    on_blob(first, end, created_at), arrays with one entry per blob: the
+    id range ``[first, end)`` whose delivered messages it holds and its
+    creation time (the T3 source).
     """
 
     def __init__(self, policy: HubPolicy, rng: SeededRng, table, on_blob):
@@ -80,7 +79,7 @@ class Hub:
         self.on_blob = on_blob
         self._window = None if policy.window_s is None else round(policy.window_s * 1000)
         self._holdback = round(policy.holdback_s * 1000)
-        self._flushed: list[tuple] = []  # (t3, first, end) of batches not yet handed over
+        self._flushed: list[tuple] = []  # (first, end, t3) of batches not yet handed over
         self._open: list[int] | None = None  # [first, end) id range of the open batch
         self._open_bytes = 0
         self._boundary: int | None = None  # the window boundary of the latest arrival
@@ -94,7 +93,7 @@ class Hub:
         self._last_arrival = int(arrival[-1])
         if self.policy.mode == "immediate":
             write = to_ms(sample_rows(self.rng, (self.policy.write_latency_ms,), ids.size)[:, 0])
-            self.on_blob(arrival + write, ids, ids + 1)
+            self.on_blob(ids, ids + 1, arrival + write)
             return
         if self.policy.chunk_bytes is None:
             self._route_windows(ids, arrival)
@@ -125,7 +124,7 @@ class Hub:
                 return
             self._flush(self._boundary)
         closes = opens[1:] - 1  # the last arrival of each window that ends within the block
-        self.on_blob(boundary[closes] + self._holdback, ids[opens[:-1]], ids[closes] + 1)
+        self.on_blob(ids[opens[:-1]], ids[closes] + 1, boundary[closes] + self._holdback)
         self._open = [int(ids[opens[-1]]), int(ids[-1]) + 1]
         self._boundary = int(boundary[-1])
 
@@ -147,7 +146,7 @@ class Hub:
                 self._flush(t)
 
     def _flush(self, flush_time: int) -> None:
-        self._flushed.append((flush_time + self._holdback, *self._open))
+        self._flushed.append((*self._open, flush_time + self._holdback))
         self._open, self._open_bytes = None, 0
 
     def _hand_over(self) -> None:

@@ -7,9 +7,9 @@ ended. The loop sleeps until each item falls due and runs one that is
 already due late. Compute time is burned with a deadline spin loop
 (approximate, a few percent per item); a workload's ``item_hook`` does
 its work in its place. Nothing else runs meanwhile: an item's send,
-link, hub and blob decisions follow in the same event, and a blob is
-written once its order is settled, at the latest in the event at the
-run's last modeled time. Link delays and cloud-side times (t2, t3) are
+link, hub and blob decisions follow in the same event, the loop ends
+with an event at the run's last modeled time, and persisted blobs are
+written once it has ended. Link delays and cloud-side times (t2, t3) are
 modeled, not transmitted, so when a cloud-side step runs never changes
 a value, and a failure in any step ends the run at once. Resource usage
 is sampled from the real process at 1 s cadence on a thread of its own,

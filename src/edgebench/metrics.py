@@ -54,16 +54,15 @@ class EmptyRun(SimulationError):
 class RunTable:
     """A run's per-message state: one int64 column per quantity, indexed by message id.
 
-    ``c_edge``, ``t1``, ``t2``, ``t3`` (ms), ``payload`` (bytes) and
-    ``blob`` (the index of the blob that holds the message) start as
-    ``UNSET``; ``dropped`` is True for a message the link lost. Rows
-    ``[0, started)`` are the items the run has started. The engine, the
-    hub and the blob store write blocks of rows; reports read the
+    ``c_edge``, ``t1``, ``t2``, ``t3`` (ms) and ``payload`` (bytes)
+    start as ``UNSET``; ``dropped`` is True for a message the link lost.
+    Rows ``[0, started)`` are the items the run has started. The engine,
+    the hub and the blob store write blocks of rows; reports read the
     started rows through :meth:`column`, or the delivered ones a block
     at a time through :meth:`delivered_blocks`.
     """
 
-    COLUMNS = ("c_edge", "t1", "t2", "t3", "payload", "blob")
+    COLUMNS = ("c_edge", "t1", "t2", "t3", "payload")
 
     def __init__(self, capacity: int):
         for name in self.COLUMNS:
@@ -131,13 +130,6 @@ def metric_rows(table: RunTable) -> list[MetricRow]:
     return [MetricRow(*values) for values in zip(*columns)]
 
 
-def nearest_rank(sorted_values: list, pct: float):
-    """Nearest-rank percentile: value at rank ceil(pct/100 * n), 1-based."""
-    n = len(sorted_values)
-    rank = max(1, math.ceil(pct / 100.0 * n))
-    return sorted_values[rank - 1]
-
-
 class _Rank:
     """The ``k``-th smallest value (1-based) of one metric of a run, found without sorting.
 
@@ -188,8 +180,8 @@ def _summaries(table: RunTable, n: int) -> dict[str, dict]:
                 high[name] = max(high.get(name, hi), hi)
 
     _scan(table, add)
-    positions = range(1, n + 1)  # nearest_rank over it returns the rank itself
-    ranks = {(name, pct): _Rank(name, nearest_rank(positions, pct), low[name], high[name])
+    # nearest rank: the value at rank ceil(pct/100 * n), 1-based
+    ranks = {(name, pct): _Rank(name, max(1, math.ceil(pct / 100.0 * n)), low[name], high[name])
              for name in METRIC_NAMES for pct in (50, 95)}
     while unresolved := [r for r in ranks.values() if r.lo < r.hi]:
         # ranks of one metric that are in the same range share one count

@@ -6,15 +6,16 @@ message ids. A block event takes each stream's draws for the whole
 block as arrays, in the order per-message draws would take them, and
 fills the block's rows of the RunTable by array arithmetic: a cumulative
 sum for the device timeline, a running maximum for FIFO arrivals, vector
-window boundaries, and one sequential pass for chunk triggers. Blobs
-wait as int64 rows until no later message can come before them, so
-they are created, and numbered, in the order of their creation time and
-decision. Nothing is scheduled per message. Virtual mode runs the loop
-on ``Clock`` with blocks of BLOCK ids; live mode (``live.py``) runs the
+window boundaries, and one sequential pass for chunk triggers. The hub
+or cloud function creates each blob as soon as it decides it, which
+stamps T3; the blob store numbers blobs only when they are listed.
+Nothing is scheduled per message. Virtual mode runs the loop on
+``Clock`` with blocks of BLOCK ids; live mode (``live.py``) runs the
 same code on a wall clock with one-item blocks, since an item cannot
 start before the previous item's measured compute has ended. Both run
 the loop to its end in the same step and finish in the same step, which
-checks the table and aggregates its delivered messages into a RunReport.
+checks the table, mirrors the blobs to disk if asked, and aggregates
+the delivered messages into a RunReport.
 In virtual mode identical seed and config produce identical results,
 field-for-field and byte-for-byte, whatever the block size.
 """
@@ -36,9 +37,8 @@ from .metrics import (MetricRow, RunReport, RunTable, aggregate, finalize_row, m
                       report_to_json, rows_to_csv)
 from .network import ByteLedger, Link, ledger_report
 from .storage import BlobStore
-from .workloads import run_item, synthesize_body
+from .workloads import DEVICE, run_item
 
-DEVICE = "device-0"
 CLOUD_FUNCTION_SOURCE = "cloud-function"
 BLOCK = 1024  # message ids one block event computes at most; bounds the engine's memory
 RESOURCE_CHUNK = 1024  # resource samples drawn per block; bounds the replay's memory
@@ -91,8 +91,9 @@ def start_run(config: ScenarioConfig, loop: EventLoop, seed: int,
 
     Each block event computes its items' whole pipeline with array
     draws and array arithmetic (device compute and sends, link, hub or
-    cloud function, blob store), creates the blobs whose order is
-    settled, and schedules the next block at its first item's start. The
+    cloud function, blob store) and schedules the next block at its
+    first item's start. The last block schedules one more event, at the
+    run's latest modeled time, which sets the run's duration. The
     loop's clock has ``now``, ``advance``, ``edge_stamp`` and ``compute``.
     """
     root = SeededRng(seed)
@@ -109,10 +110,13 @@ def finish_run(run: Run, duration_ms: int, resources: dict | None) -> RunResult:
     """Aggregate the run table's delivered messages into the report.
 
     A delivered message that misses a timestamp raises IncompleteRecord,
-    so a run never hides a lost message.
+    so a run never hides a lost message. With ``persist_blobs`` set, the
+    blobs are mirrored to disk first.
     """
     config = run.config
     finalize_row(run.table)
+    if run.store.persist_dir is not None:
+        run.store.mirror()
     report = aggregate(
         run.table,
         label=config.label,
@@ -133,7 +137,7 @@ def _drive_edge(run: Run, loop: EventLoop, block: int) -> None:
     wl_rng = run.root.substream("workload")
     link, table, store = run.link, run.table, run.store
     persist = store.persist_dir is not None
-    hub = run.hub = Hub(run.config.hub, run.root.substream("hub"), table, store.schedule)
+    hub = run.hub = Hub(run.config.hub, run.root.substream("hub"), table, store.create_blob)
 
     def start_block(first):
         count = min(block, spec.items - first)
@@ -141,22 +145,19 @@ def _drive_edge(run: Run, loop: EventLoop, block: int) -> None:
         rows = slice(first, first + count)
         table.started = first + count
         table.c_edge[rows], table.t1[rows], table.payload[rows] = c_edge, t1, payload
-        if persist:
-            for k, size in enumerate(payload.tolist()):
-                store.bodies[first + k] = (synthesize_body(DEVICE, first + k, size) if bodies is None
-                                           else bodies[k])
         send = t1 - clock.skew_edge_ms  # true instants: the edge stamps without skew
         kept, arrival = link.deliver(DEVICE, payload, send)
         table.dropped[rows] = ~kept
-        hub.ingest(first + np.flatnonzero(kept), arrival)
+        delivered = np.flatnonzero(kept)
+        if persist and bodies is not None:
+            for k in delivered.tolist():
+                store.bodies[first + k] = bodies[k]
+        hub.ingest(first + delivered, arrival)
         if next_start is None:
             end = max(int(send[-1]), hub.latest, store.latest)  # the run's latest event so far
             hub.close(end)
-            loop.schedule(max(end, store.latest), store.settle)
+            loop.schedule(max(end, store.latest), lambda: None)
             return
-        # later messages are sent, so arrive and are stored, from then on; an open
-        # window batch may be due before that, but after every blob decided so far
-        store.settle(next_start)
         loop.schedule(next_start, lambda: start_block(first + count))
 
     loop.schedule(round(spec.warmup_delay_s * 1000), lambda: start_block(0))
@@ -182,17 +183,13 @@ def _drive_cloud(run: Run, loop: EventLoop, block: int) -> None:
         table.started = first + count
         table.c_edge[rows], table.t1[rows], table.t2[rows] = 0, clock.edge_stamp(start), t2
         table.payload[rows] = result_bytes
-        if store.persist_dir is not None:
-            for k, size in enumerate(result_bytes.tolist()):
-                store.bodies[first + k] = synthesize_body(DEVICE, first + k, size)
         ledger.record(DEVICE, int(input_bytes.sum()), overhead * count)
         ledger.record(CLOUD_FUNCTION_SOURCE, int(result_bytes.sum()), 0)
         ids = np.arange(first, first + count)
-        store.schedule(t3, ids, ids + 1)
+        store.create_blob(ids, ids + 1, t3)
         if last:
-            loop.schedule(store.latest, store.settle)
+            loop.schedule(store.latest, lambda: None)
             return
-        store.settle(next_start)  # later uploads start, so finish, from then on
         loop.schedule(next_start, lambda: start_block(first + count))
 
     loop.schedule(round(spec.warmup_delay_s * 1000), lambda: start_block(0))

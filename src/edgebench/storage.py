@@ -5,10 +5,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from .metrics import UNSET, RunTable
+from .metrics import RunTable
+from .workloads import DEVICE, synthesize_body
 
 
 @dataclass
@@ -22,21 +24,18 @@ class BlobRecord:
 class BlobStore:
     """In-memory blob table with an optional on-disk JSON mirror.
 
-    Creating a blob stamps T3 and the blob's index into the run table for
-    each message it holds. The store itself keeps one row per blob:
-    creation time, size, first message id and message count. Blob names
-    follow ``<route>/<flush-ordinal>-<first-message-id>.json`` so
-    listings are deterministic and sortable.
+    Creating a blob stamps T3 into the run table for each message it
+    holds. The store itself keeps one row per blob: creation time, size,
+    first message id and message count. Blobs are numbered when they are
+    listed, in (creation time, first id) order, and named
+    ``<route>/<ordinal>-<first-message-id>.json`` so listings are
+    deterministic and sortable.
 
-    A blob is first scheduled, as one int64 row (creation time, id range),
-    and created by :meth:`settle` once no blob scheduled later can come
-    before it. Blobs are created, and numbered, in (creation time, first
-    id) order: the order of their creation events, which were decided in
-    message-id order (immediate and cloud blobs) or flush order (batches
-    of consecutive messages).
-
-    With ``persist_dir`` set, ``bodies`` holds the text of each message
-    until its blob is mirrored to disk.
+    With ``persist_dir`` set, the directory is made at once and
+    :meth:`mirror` writes every blob to it at the end of the run.
+    ``bodies`` holds the texts of the delivered messages that have one
+    (scalar readings, item-hook results) until then; any other message's
+    body is synthesized from its payload size.
     """
 
     def __init__(self, table: RunTable, route: str = "results", envelope_bytes: int = 0,
@@ -45,105 +44,83 @@ class BlobStore:
         self.route = route
         self.envelope_bytes = envelope_bytes
         self.persist_dir = Path(persist_dir) if persist_dir else None
+        if self.persist_dir is not None:
+            self.persist_dir.mkdir(parents=True, exist_ok=True)
         self.bodies: dict[int, str] = {}
         # rows (created_at, size, first id, count), one array per create_blob call: no slack
         # that grows with the run
         self._blobs: list[np.ndarray] = []
         self._created = 0
         self._listing: list[BlobRecord] | None = None
-        self._pending = np.empty((0, 3), dtype=np.int64)  # rows (created_at, first, end), sorted
-        self._scheduled: list[np.ndarray] = []  # rows not yet sorted into _pending
-        self.latest = 0  # the latest creation time scheduled so far
+        self.latest = 0  # the latest creation time so far
 
     def _name(self, index: int, first_id: int) -> str:
         return f"{self.route}/{index:06d}-{first_id}.json"
 
-    def schedule(self, created_at, first, end) -> None:
-        """Schedule blobs: blob j is created at ``created_at[j]`` and holds the
-        delivered messages with ids in ``[first[j], end[j])``."""
-        rows = np.column_stack((created_at, first, end)).astype(np.int64, copy=False)
-        self._scheduled.append(rows)
-        self.latest = int(rows[:, 0].max(initial=self.latest))
-
-    def settle(self, horizon: int | None = None) -> None:
-        """Create the scheduled blobs due by ``horizon``, in (created_at, first id) order.
-
-        The caller vouches that every blob scheduled after this call sorts
-        at or after every blob this call creates, by (created_at, first
-        id); None creates every scheduled blob. A blob scheduled later is
-        most often due at or after ``horizon``, but need not be: a window
-        batch still open at the call is due at its boundary plus the
-        hold-back, which can be earlier, and it sorts after the blobs
-        created now because every one of them is due no later and holds
-        earlier messages.
-        """
-        rows = np.concatenate([self._pending, *self._scheduled])
-        self._scheduled = []
-        rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
-        due = len(rows) if horizon is None else int(np.searchsorted(rows[:, 0], horizon, side="right"))
-        self._pending = rows[due:]
-        if due:
-            created_at, first, end = rows[:due].T
-            self.create_blob(first, end, created_at)
-
     def create_blob(self, first, end, created_at) -> None:
-        """Create blobs, in the given order: blob j holds the delivered
-        messages with ids in ``[first[j], end[j])`` and stamps their T3
-        with ``created_at[j]``."""
+        """Create blobs: blob j holds the delivered messages with ids in
+        ``[first[j], end[j])`` and stamps their T3 with ``created_at[j]``."""
         first, end, created_at = (np.asarray(a, dtype=np.int64) for a in (first, end, created_at))
-        table, index = self.table, self._created
+        if not first.size:
+            return
+        table = self.table
         span = end - first
         ids = np.arange(span.sum()) + np.repeat(first - (np.cumsum(span) - span), span)
-        blob = np.repeat(np.arange(index, index + len(first)), span)
+        blob = np.repeat(np.arange(len(first)), span)
         stored = ~table.dropped[ids]
         ids, blob = ids[stored], blob[stored]
-        table.t3[ids] = created_at[blob - index]
-        table.blob[ids] = blob
-        count = np.bincount(blob - index, minlength=len(first))
+        table.t3[ids] = created_at[blob]
+        count = np.bincount(blob, minlength=len(first))
         bytes_before = np.concatenate(([0], np.cumsum(table.payload[ids])))
         ends = np.cumsum(count)
         size = self.envelope_bytes + bytes_before[ends] - bytes_before[ends - count]
         self._blobs.append(np.column_stack((created_at, size, first, count)))
         self._created += len(first)
+        self.latest = max(self.latest, int(created_at.max()))
         self._listing = None
-        if self.persist_dir is not None:
-            for j, blob_ids in enumerate(np.split(ids, ends[:-1])):
-                self._mirror(self._name(index + j, int(first[j])), blob_ids.tolist(), int(created_at[j]))
 
-    def _mirror(self, name: str, ids, created_at: int) -> None:
-        path = self.persist_dir / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        t1, t2 = self.table.t1, self.table.t2
-        doc = {
-            "name": name,
-            "created_at": created_at,
-            "messages": [
-                {"id": mid, "t1": int(t1[mid]), "t2": int(t2[mid]), "body": self.bodies.pop(mid)}
-                for mid in ids
-            ],
-        }
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    def mirror(self) -> None:
+        """Write each blob to ``persist_dir`` as JSON, with its messages' timestamps and bodies."""
+        t1, t2, payload = self.table.t1, self.table.t2, self.table.payload
+        for record in self._numbered():
+            path = self.persist_dir / record.name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            messages = []
+            for mid in record.message_ids:
+                body = self.bodies.pop(mid, None)
+                if body is None:
+                    body = synthesize_body(DEVICE, mid, int(payload[mid]))
+                messages.append({"id": mid, "t1": int(t1[mid]), "t2": int(t2[mid]), "body": body})
+            doc = {"name": record.name, "created_at": record.created_at, "messages": messages}
+            path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        self.bodies.clear()  # frees the table the emptied dict still holds
 
-    def list_blobs(self, prefix: str = "") -> list[BlobRecord]:
-        """Blobs with names under ``prefix``, ordered by (created_at, name).
+    def list_blobs(self) -> list[BlobRecord]:
+        """Every blob, ordered by (created_at, name).
 
         A blob's ``message_ids`` are in id order. The records are built
         once and returned again until the next blob is created.
         """
         if self._listing is None:
-            self._listing = sorted(self._records(), key=lambda r: (r.created_at, r.name))
-        return [r for r in self._listing if r.name.startswith(prefix)]
+            self._listing = sorted(self._numbered(), key=lambda r: (r.created_at, r.name))
+        return list(self._listing)
 
-    def _records(self) -> list[BlobRecord]:
+    def _numbered(self) -> Iterator[BlobRecord]:
+        """Each blob's record, numbered in (created_at, first id) order, one at a time.
+
+        A blob holds the consecutive delivered messages of its id range,
+        so its ids are the ``count`` delivered ids from its first id on.
+        """
         if not self._created:
-            return []
-        blob = self.table.column("blob")
-        stored = np.flatnonzero(blob != UNSET)
-        by_blob = stored[np.argsort(blob[stored], kind="stable")]
-        created_at, size, first_id, count = np.concatenate(self._blobs).T.tolist()
-        groups = np.split(by_blob, np.cumsum(count)[:-1])
-        return [BlobRecord(self._name(i, first_id[i]), created_at[i], ids.tolist(), size[i])
-                for i, ids in enumerate(groups)]
+            return
+        rows = np.concatenate(self._blobs)
+        rows = rows[np.lexsort((rows[:, 2], rows[:, 0]))]
+        delivered = self.table.delivered()
+        start = np.searchsorted(delivered, rows[:, 2])
+        for index in range(len(rows)):
+            created_at, size, first_id, count = rows[index].tolist()
+            at = int(start[index])
+            yield BlobRecord(self._name(index, first_id), created_at, delivered[at:at + count].tolist(), size)
 
     def __len__(self) -> int:
         return self._created

@@ -246,6 +246,9 @@ def scalar_batch_body(readings: np.ndarray) -> np.ndarray:
     return sums
 
 
+DEVICE = "device-0"  # the run's one source: it sends the messages and names their bodies
+
+
 def synthesize_body(source: str, msg_id: int, payload_bytes: int) -> str:
     """Deterministic placeholder result text of exactly payload_bytes bytes."""
     stem = f"result {source}/{msg_id} "

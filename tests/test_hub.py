@@ -13,21 +13,18 @@ def run_hub(policy, arrivals, payload_bytes=100, seed=0, block=3):
     """Drive a hub with messages arriving at the given times, ``block`` arrivals per ingest.
 
     Returns (table, blobs): the run table the hub stamped T2 into, and a
-    list of (message ids, created_at) per blob, in creation order.
+    list of (message ids, created_at) per blob, in numbering order.
     """
     table = RunTable(len(arrivals))
     table.started = len(arrivals)
     table.payload[:] = payload_bytes
     store = BlobStore(table)
-    hub = Hub(policy, SeededRng(seed).substream("hub"), table, store.schedule)
+    hub = Hub(policy, SeededRng(seed).substream("hub"), table, store.create_blob)
     arrivals = np.array(arrivals, dtype=np.int64)
     for first in range(0, len(arrivals), block):
         ids = np.arange(first, min(first + block, len(arrivals)))
         hub.ingest(ids, arrivals[ids])
-        if ids[-1] + 1 < len(arrivals):
-            store.settle(int(arrivals[ids[-1] + 1]))  # later messages arrive from then on
     hub.close(int(arrivals[-1]))
-    store.settle()
     by_index = sorted(store.list_blobs(), key=lambda b: b.name)
     return table, [(b.message_ids, b.created_at) for b in by_index]
 
@@ -89,27 +86,24 @@ class TestBatched:
         assert blobs[0][1] == 120_000
         assert residences(table, blobs)[0] == 90_000
 
-    def test_open_window_batch_handed_over_after_a_later_settle(self):
-        # the batch of window (100, 200] is still open when the store settles up
-        # to 600; the next block flushes it, due at 250, and it must still be
-        # numbered after the blob created at 150 and before the one at 650
+    def test_open_window_batch_handed_over_in_a_later_block(self):
+        # the batch of window (100, 200] is still open after the first block; the
+        # next block, whose message arrives at 600, flushes it, due at 250, and it
+        # is numbered after the blob created at 150 and before the one at 650
         table = RunTable(3)
         table.started = 3
         table.payload[:] = 100
         store = BlobStore(table)
         hub = Hub(self.windowed(0.1, holdback_s=0.05), SeededRng(0).substream("hub"), table,
-                  store.schedule)
+                  store.create_blob)
         hub.ingest(np.array([0, 1]), np.array([10, 150]))
-        store.settle(600)
         assert [(b.message_ids, b.created_at) for b in store.list_blobs()] == [([0], 150)]
         hub.ingest(np.array([2]), np.array([600]))
         assert store.latest == 250
         hub.close(600)
-        store.settle()
         blobs = sorted(store.list_blobs(), key=lambda b: b.name)
         assert [(b.message_ids, b.created_at) for b in blobs] == [([0], 150), ([1], 250), ([2], 650)]
         assert table.t3.tolist() == [150, 250, 650]
-        assert table.blob.tolist() == [0, 1, 2]
 
     def test_chunk_trigger_flushes_mid_window(self):
         policy = self.windowed(60, chunk=250)

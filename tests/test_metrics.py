@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from edgebench.metrics import (
     config_fingerprint,
     finalize_row,
     metric_rows,
-    nearest_rank,
     report_from_json,
     report_to_json,
     rows_to_csv,
@@ -179,8 +179,9 @@ class TestAggregate:
         table.dropped[0] = False
         values = sorted(e2e[~table.dropped].tolist())
         agg = aggregate(table).aggregates["e2e_ms"]
-        assert agg["median"] == float(nearest_rank(values, 50))
-        assert agg["p95"] == float(nearest_rank(values, 95))
+        # nearest rank: the value at rank ceil(pct/100 * n), 1-based
+        assert agg["median"] == float(values[max(1, math.ceil(50 / 100.0 * len(values))) - 1])
+        assert agg["p95"] == float(values[max(1, math.ceil(95 / 100.0 * len(values))) - 1])
         assert agg["mean"] == sum(values) / len(values)
 
     def test_empty_run(self):
@@ -188,10 +189,10 @@ class TestAggregate:
             aggregate(RunTable(0))
 
     def test_nearest_rank_definition(self):
-        values = sorted([15, 20, 35, 40, 50])
-        assert nearest_rank(values, 50) == 35
-        assert nearest_rank(values, 95) == 50
-        assert nearest_rank(values, 100) == 50
+        # ranks ceil(0.5 * 5) = 3 and ceil(0.95 * 5) = 5, whatever the order of the rows
+        agg = aggregate(self.rows_with_e2e([40, 15, 50, 35, 20])).aggregates["e2e_ms"]
+        assert agg["median"] == 35
+        assert agg["p95"] == 50
 
 
 class TestExport:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from edgebench import runner
 from edgebench.config import ScenarioConfig, load_fixture
 from edgebench.core import SeededRng
 from edgebench.metrics import report_to_json, rows_to_csv
@@ -100,8 +101,10 @@ class TestSkewNeutrality:
         config.skew_edge_ms = 50
         skewed = run_scenario(config)
         assert (skewed.table.column("t1") == base.table.column("t1") + 50).all()
-        for name in ("t2", "t3", "blob"):
+        for name in ("t2", "t3"):
             assert (skewed.table.column(name) == base.table.column(name)).all()
+        assert ([(b.name, b.message_ids) for b in skewed.store.list_blobs()]
+                == [(b.name, b.message_ids) for b in base.store.list_blobs()])
         assert skewed.report.ledger == base.report.ledger
         assert [r.id for r in skewed.rows] == [r.id for r in base.rows]
 
@@ -205,3 +208,13 @@ class TestReports:
         doc = json.loads(files[0].read_text())
         assert set(doc) == {"name", "created_at", "messages"}
         assert set(doc["messages"][0]) == {"id", "t1", "t2", "body"}
+
+    def test_unusable_persist_dir_fails_before_any_item(self, tmp_path, monkeypatch):
+        # blobs are mirrored when the run ends, but the directory is made up front
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        items = []
+        monkeypatch.setattr(runner, "run_item", lambda *args: items.append(args))
+        with pytest.raises(NotADirectoryError):
+            run_scenario(load_fixture("scenarios/greengrass-scalar"), persist_blobs=blocker / "blobs")
+        assert items == []

@@ -6,6 +6,7 @@ import numpy as np
 
 from edgebench.metrics import UNSET, RunTable
 from edgebench.storage import BlobStore
+from edgebench.workloads import DEVICE, synthesize_body
 
 
 def store_of(n=10, payload=162, **kwargs):
@@ -25,7 +26,6 @@ class TestCreateBlob:
         assert record.size_bytes == 162
         assert record.message_ids == [0]
         assert store.table.t3[0] == 100
-        assert store.table.blob[0] == 0
 
     def test_empty_blob_is_envelope_only(self):
         store = store_of(envelope_bytes=64)
@@ -59,18 +59,25 @@ class TestCreateBlob:
         (record,) = store.list_blobs()
         assert record.message_ids == [0, 2]
         assert record.size_bytes == 10 + 2 * 162
-        assert store.table.t3[1] == UNSET and store.table.blob[1] == UNSET
+        assert store.table.t3[1] == UNSET
 
-    def test_settle_creates_due_blobs_in_time_then_id_order(self):
+    def test_blobs_numbered_by_creation_time_then_first_id(self):
+        # blobs are created in any order; T3 is stamped at once, the ordinals when listed
         store = store_of()
-        store.schedule(np.array([30, 10, 10]), np.array([0, 2, 1]), np.array([1, 3, 2]))
-        store.schedule(np.array([40]), np.array([3]), np.array([4]))
+        store.create_blob([3], [4], [40])
+        store.create_blob(np.array([0, 2]), np.array([1, 3]), np.array([30, 10]))
+        store.create_blob([1], [2], [10])
         assert store.latest == 40
-        store.settle(30)
-        assert [(r.name, r.created_at) for r in store.list_blobs()] == [
-            ("results/000000-1.json", 10), ("results/000001-2.json", 10), ("results/000002-0.json", 30)]
-        store.settle()
-        assert [r.name for r in store.list_blobs()][-1] == "results/000003-3.json"
+        assert store.table.t3[:4].tolist() == [30, 10, 10, 40]
+        assert [(r.name, r.created_at, r.message_ids) for r in store.list_blobs()] == [
+            ("results/000000-1.json", 10, [1]), ("results/000001-2.json", 10, [2]),
+            ("results/000002-0.json", 30, [0]), ("results/000003-3.json", 40, [3])]
+
+    def test_empty_input_creates_nothing(self):
+        store = store_of()
+        store.create_blob(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64))
+        assert len(store) == 0 and store.latest == 0
+        assert store.list_blobs() == []
 
 
 class TestListBlobs:
@@ -84,13 +91,11 @@ class TestListBlobs:
         store.create_blob([2], [3], [1])
         assert [r.message_ids for r in store.list_blobs()] == [[2], [0], [1]]
 
-    def test_prefix_filter(self):
+    def test_names_carry_the_route(self):
         store = store_of(route="audio")
         store.create_blob([0], [1], [1])
         store.create_blob([1], [2], [2])
-        assert [r.name for r in store.list_blobs("audio/")] == ["audio/000000-0.json",
-                                                                "audio/000001-1.json"]
-        assert store.list_blobs("image/") == []
+        assert [r.name for r in store.list_blobs()] == ["audio/000000-0.json", "audio/000001-1.json"]
 
     def test_created_at_non_decreasing_in_insertion_order(self):
         store = store_of()
@@ -116,11 +121,27 @@ class TestPersistence:
         store.bodies[0] = "x" * 10
         store.create_blob([0], [1], [99])
         path = tmp_path / "results" / "000000-0.json"
+        assert not path.exists()  # mirrored when the run ends
+        store.mirror()
         doc = json.loads(path.read_text())
         assert doc["name"] == "results/000000-0.json"
         assert doc["created_at"] == 99
         assert doc["messages"] == [{"id": 0, "t1": 42, "t2": 50, "body": "x" * 10}]
         assert store.bodies == {}
+
+    def test_modeled_body_is_synthesized_from_its_size(self, tmp_path):
+        store = store_of(payload=40, persist_dir=tmp_path)
+        store.create_blob([0, 1], [1, 2], [5, 5])
+        store.bodies[1] = "text"
+        store.mirror()
+        docs = [json.loads(p.read_text()) for p in sorted((tmp_path / "results").iterdir())]
+        bodies = [m["body"] for doc in docs for m in doc["messages"]]
+        assert bodies == [synthesize_body(DEVICE, 0, 40), "text"]
+        assert len(bodies[0].encode()) == 40
+
+    def test_dir_is_made_with_the_store(self, tmp_path):
+        store_of(persist_dir=tmp_path / "a" / "b")
+        assert (tmp_path / "a" / "b").is_dir()
 
     def test_no_mirror_without_dir(self, tmp_path):
         store = store_of()
