@@ -36,10 +36,15 @@ def to_ms(value):
     """Round a millisecond quantity half-to-even and clamp at zero.
 
     A float64 array is rounded element by element to an int64 array, with
-    the same results as the scalar form.
+    the same results as the scalar form; a value that rounds to 2**63 or
+    more, which int64 cannot hold, raises SimulationError.
     """
     if isinstance(value, np.ndarray):
-        return np.maximum(np.rint(value), 0).astype(np.int64)
+        rounded = np.rint(value)
+        top = float(rounded.max()) if rounded.size else 0.0
+        if top >= 2.0 ** 63:
+            raise SimulationError(f"drawn quantity {top!r} does not fit in int64")
+        return np.maximum(rounded, 0).astype(np.int64)
     return max(0, round(value))
 
 

@@ -37,7 +37,7 @@ from .metrics import (MetricRow, RunReport, RunTable, aggregate, finalize_row, m
                       report_to_json, rows_to_csv)
 from .network import ByteLedger, Link, ledger_report
 from .storage import BlobStore
-from .workloads import DEVICE, run_item
+from .workloads import DEVICE, ResourceProfile, run_item
 
 CLOUD_FUNCTION_SOURCE = "cloud-function"
 BLOCK = 1024  # message ids one block event computes at most; bounds the engine's memory
@@ -196,24 +196,49 @@ def _drive_cloud(run: Run, loop: EventLoop, block: int) -> None:
 
 
 def _replay_resources(config: ScenarioConfig, root: SeededRng, duration_ms: int) -> dict | None:
-    """Replay the configured resource profile at 1 s virtual cadence."""
+    """Replay the configured resource profile at 1 s virtual cadence.
+
+    Each mean is the left-to-right ``+=`` sum of ``n`` per-second samples
+    over ``n``. A profile whose cpu and ram kinds are both constant draws
+    nothing, so every sample of a column is the same clamped value ``v``.
+    Write ``v = p / 2**q`` (``v.as_integer_ratio()``). When ``n * |p| <=
+    2**53`` for both columns, every partial sum ``k * v`` (``k <= n``) is
+    ``k * p``, an integer of magnitude at most 2**53, times ``2**-q``, so it
+    is a double: no ``+=`` rounds and the sum is exactly ``n * v``. The
+    totals are then computed as ``0.0 + n * v`` without any per-second
+    sample; the leading ``0.0`` is the loop's start value, so a ``-0.0``
+    sample would sum to ``0.0`` as in the loop. Other constants (such as
+    12.345) and every random profile are summed in chunks of
+    RESOURCE_CHUNK samples.
+    """
     profile = config.resources
     if profile is None:
         return None
     rng = root.substream("resources")
     n = max(1, math.ceil(duration_ms / 1000))
-    cpu_total = 0.0
-    ram_total = 0.0
-    for start in range(0, n, RESOURCE_CHUNK):
-        cpu, ram = profile.sample(rng, min(RESOURCE_CHUNK, n - start))
-        cpu_total = _running_sum(cpu_total, cpu)
-        ram_total = _running_sum(ram_total, ram)
+    totals = None
+    if profile.cpu_pct.kind == profile.ram_mb.kind == "constant":
+        values = [float(column[0]) for column in profile.sample(rng, 1)]  # draws nothing
+        if all(n * abs(v.as_integer_ratio()[0]) <= 2 ** 53 for v in values):
+            totals = [0.0 + n * v for v in values]
+    cpu_total, ram_total = totals or _chunked_totals(profile, rng, n)
     return {
         "mode": "modeled",
         "cpu_pct_mean": cpu_total / n,
         "ram_mb_mean": ram_total / n,
         "samples": n,
     }
+
+
+def _chunked_totals(profile: ResourceProfile, rng: SeededRng, n: int) -> tuple[float, float]:
+    """The cpu and ram sums of ``n`` samples, drawn RESOURCE_CHUNK at a time."""
+    cpu_total = 0.0
+    ram_total = 0.0
+    for start in range(0, n, RESOURCE_CHUNK):
+        cpu, ram = profile.sample(rng, min(RESOURCE_CHUNK, n - start))
+        cpu_total = _running_sum(cpu_total, cpu)
+        ram_total = _running_sum(ram_total, ram)
+    return cpu_total, ram_total
 
 
 def _running_sum(total: float, values: np.ndarray) -> float:

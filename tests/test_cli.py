@@ -66,6 +66,15 @@ class TestRun:
         assert code == 2
         assert "bogus" in err
 
+    def test_value_beyond_int64_exits_nonzero(self, capsys, tmp_path):
+        config = tmp_path / "huge.yaml"
+        config.write_text("extends: scenarios/greengrass-image\nworkload: {compute_ms: {constant: 1.0e+19}}\n")
+        assert run_cli(capsys, "validate", "--config", str(config))[0] == 0
+        code, _, err = run_cli(capsys, "run", "--config", str(config), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "does not fit in int64" in err
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+
 
 class TestCompare:
     def test_byte_ratio_column(self, capsys, tmp_path):

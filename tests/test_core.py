@@ -14,6 +14,7 @@ from edgebench.core import (
     EventLoop,
     InvalidDistribution,
     SeededRng,
+    SimulationError,
     TimeRegression,
     constant,
     empirical,
@@ -208,6 +209,14 @@ class TestDistributions:
         assert to_ms(-3.0) == 0
         values = [0.5, 1.5, 2.5, -3.0, 7.499999999999999, 1e12 + 0.5]
         assert to_ms(np.array(values)).tolist() == [to_ms(v) for v in values]
+
+    def test_array_beyond_int64_is_rejected(self):
+        largest = 2.0 ** 63 - 1024  # the largest double below 2**63
+        assert to_ms(np.array([largest, 1.0])).tolist() == [2 ** 63 - 1024, 1]
+        assert to_ms(np.array([])).tolist() == []
+        for value in (2.0 ** 63, 1.0e19, 1.7e308):
+            with pytest.raises(SimulationError, match="int64"):
+                to_ms(np.array([1.0, value]))
 
     @pytest.mark.parametrize("kinds", [("constant", "uniform"), ("uniform", "uniform", "constant"),
                                        ("normal", "uniform"), ("uniform", "empirical", "constant")])

@@ -2,14 +2,19 @@
 
 import io
 import json
+import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from edgebench import runner
 from edgebench.config import ScenarioConfig, load_fixture
-from edgebench.core import SeededRng
+from edgebench.core import SeededRng, SimulationError, constant
 from edgebench.metrics import report_to_json, rows_to_csv
 from edgebench.runner import RESOURCE_CHUNK, _replay_resources, run_scenario, write_artifacts
+from edgebench.workloads import ResourceProfile
 
 
 def run_fixture(name, **overrides):
@@ -27,6 +32,66 @@ def csv_bytes(result):
 
 def stored_ids(result):
     return sorted(mid for blob in result.store.list_blobs() for mid in blob.message_ids)
+
+
+def count_resource_samples(monkeypatch):
+    """A list that gets the ``n`` of every ResourceProfile.sample call from now on."""
+    calls = []
+    sample = ResourceProfile.sample
+
+    def counted(self, rng, n):
+        calls.append(n)
+        return sample(self, rng, n)
+
+    monkeypatch.setattr(ResourceProfile, "sample", counted)
+    return calls
+
+
+def drawn_sequential_means(config, samples):
+    """The cpu and ram means of ``samples`` single draws of the config's profile, summed with ``+=``."""
+    profile = config.resources
+    rng = SeededRng(config.seed).substream("resources")
+    cpu_total = ram_total = 0.0
+    for _ in range(samples):
+        cpu_total += min(max(profile.cpu_pct.sample(rng), 0.0), 100.0 * profile.cores)
+        ram_total += max(profile.ram_mb.sample(rng), 0.0) + profile.platform_ram_delta_mb
+    return cpu_total / samples, ram_total / samples
+
+
+def replay_profile(profile, samples):
+    config = replace(load_fixture("scenarios/aws-cloud-image"), resources=profile)
+    return _replay_resources(config, SeededRng(config.seed), samples * 1000)
+
+
+def constant_sequential_means(profile, samples):
+    """reprs of the cpu and ram means of ``samples`` per-second samples, summed with ``+=``."""
+    cpu = min(max(profile.cpu_pct.params[0], 0.0), 100.0 * profile.cores)
+    ram = max(profile.ram_mb.params[0], 0.0) + profile.platform_ram_delta_mb
+    cpu_total = ram_total = 0.0
+    for _ in range(samples):
+        cpu_total += cpu
+        ram_total += ram
+    return repr(cpu_total / samples), repr(ram_total / samples)
+
+
+def replayed_means(replayed):
+    return repr(replayed["cpu_pct_mean"]), repr(replayed["ram_mb_mean"])
+
+
+CONSTANT_PROFILES = {
+    "integral": load_fixture("scenarios/aws-cloud-image").resources,  # 10 % cpu, 45 MB
+    "half-integral": ResourceProfile(constant(35), constant(145), platform_ram_delta_mb=12.5),
+    "inexact": ResourceProfile(constant(12.345), constant(12.345)),
+    "negative-zero": ResourceProfile(constant(-0.0), constant(-0.0), platform_ram_delta_mb=-0.0),
+    "cpu-clamped": ResourceProfile(constant(450.0), constant(45), cores=4),
+    "ram-clamped": ResourceProfile(constant(10), constant(-30.0), platform_ram_delta_mb=42.25),
+}
+SAMPLE_COUNTS = [1, RESOURCE_CHUNK, 3 * RESOURCE_CHUNK + 7, 252_550]
+
+
+def chunked_calls(samples):
+    """ResourceProfile.sample calls of a replay that takes the chunked loop."""
+    return math.ceil(samples / RESOURCE_CHUNK)
 
 
 class TestDeterminism:
@@ -161,6 +226,18 @@ class TestCalibration:
         assert min(gaps) >= 10_000  # at least the lower pacing bound
 
 
+class TestOversizedDraws:
+    @pytest.mark.parametrize("fixture, field", [("greengrass-image", "compute_ms"),
+                                                ("greengrass-image", "result_payload_bytes"),
+                                                ("aws-cloud-image", "input_bytes_per_item"),
+                                                ("aws-cloud-image", "result_payload_bytes")])
+    def test_value_beyond_int64_fails_the_run(self, fixture, field):
+        config = load_fixture(f"scenarios/{fixture}")
+        config = replace(config, workload=replace(config.workload, **{field: constant(1.0e19)}))
+        with pytest.raises(SimulationError, match="does not fit in int64"):
+            run_scenario(config)
+
+
 class TestReports:
     def test_resources_replayed_and_labeled(self):
         result = run_fixture("greengrass-audio")
@@ -171,17 +248,70 @@ class TestReports:
     @pytest.mark.parametrize("samples", [1, RESOURCE_CHUNK, 3 * RESOURCE_CHUNK + 7])
     def test_resource_means_equal_sequential_sums(self, samples):
         config = load_fixture("scenarios/acceptance-10k")  # uniform cpu and ram
-        profile = config.resources
-        rng = SeededRng(config.seed).substream("resources")
-        cpu_total = ram_total = 0.0
-        for _ in range(samples):
-            cpu = min(max(profile.cpu_pct.sample(rng), 0.0), 100.0 * profile.cores)
-            cpu_total += cpu
-            ram_total += max(profile.ram_mb.sample(rng), 0.0) + profile.platform_ram_delta_mb
         replayed = _replay_resources(config, SeededRng(config.seed), samples * 1000)
         assert replayed["samples"] == samples
-        assert replayed["cpu_pct_mean"] == cpu_total / samples
-        assert replayed["ram_mb_mean"] == ram_total / samples
+        assert (replayed["cpu_pct_mean"], replayed["ram_mb_mean"]) == drawn_sequential_means(config, samples)
+
+    @pytest.mark.parametrize("constant_column", ["cpu_pct", "ram_mb"])
+    def test_half_constant_resource_means_equal_sequential_sums(self, constant_column):
+        config = load_fixture("scenarios/acceptance-10k")  # uniform cpu and ram
+        config = replace(config, resources=replace(config.resources, **{constant_column: constant(30)}))
+        samples = 3 * RESOURCE_CHUNK + 7
+        replayed = _replay_resources(config, SeededRng(config.seed), samples * 1000)
+        assert (replayed["cpu_pct_mean"], replayed["ram_mb_mean"]) == drawn_sequential_means(config, samples)
+
+    @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+    @pytest.mark.parametrize("name", sorted(CONSTANT_PROFILES))
+    def test_constant_resource_means_equal_sequential_sums(self, monkeypatch, name, samples):
+        profile = CONSTANT_PROFILES[name]
+        calls = count_resource_samples(monkeypatch)
+        replayed = replay_profile(profile, samples)
+        assert replayed["samples"] == samples
+        assert replayed_means(replayed) == constant_sequential_means(profile, samples)
+        # 12.345's numerator is above 2**52, so any two of its samples sum inexactly
+        closed_form = name != "inexact" or samples == 1
+        assert len(calls) == (1 if closed_form else 1 + chunked_calls(samples))
+
+    @pytest.mark.parametrize("column", ["cpu_pct", "ram_mb"])
+    @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+    def test_closed_form_ends_where_the_sums_could_round(self, monkeypatch, column, samples):
+        numerator = 2 ** 53 // samples
+        numerator -= 1 - numerator % 2  # odd, so it is v's own numerator
+        assert samples * numerator <= 2 ** 53 < (samples + 1) * numerator
+        v = numerator / 2 ** 52  # below 2, so no clamp applies
+        profile = replace(CONSTANT_PROFILES["integral"], **{column: constant(v)})
+        for n, calls_expected in [(samples, 1), (samples + 1, 1 + chunked_calls(samples + 1))]:
+            calls = count_resource_samples(monkeypatch)
+            replayed = replay_profile(profile, n)
+            assert replayed_means(replayed) == constant_sequential_means(profile, n)
+            assert len(calls) == calls_expected
+
+    def test_closed_form_includes_a_sum_of_exactly_2_to_the_53(self, monkeypatch):
+        profile = ResourceProfile(constant(10), constant(2.0 ** 43))  # numerator 2**43
+        calls = count_resource_samples(monkeypatch)
+        replayed = replay_profile(profile, RESOURCE_CHUNK)  # 2**10 samples
+        assert replayed_means(replayed) == constant_sequential_means(profile, RESOURCE_CHUNK)
+        assert len(calls) == 1
+
+    @given(cpu=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                         st.integers(-2 ** 20, 2 ** 20).map(lambda k: k / 8)),
+           ram=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                         st.integers(-2 ** 20, 2 ** 20).map(lambda k: k / 8)),
+           delta=st.sampled_from([0.0, -0.0, 12.5, -40.0, 0.1]),
+           samples=st.integers(1, 3 * RESOURCE_CHUNK + 7))
+    def test_constant_resource_means_property(self, cpu, ram, delta, samples):
+        profile = ResourceProfile(constant(cpu), constant(ram), platform_ram_delta_mb=delta)
+        replayed = replay_profile(profile, samples)
+        assert replayed_means(replayed) == constant_sequential_means(profile, samples)
+
+    @pytest.mark.parametrize("fixture, closed_form", [("aws-cloud-image", True), ("acceptance-10k", False)])
+    def test_constant_profile_is_sampled_at_most_once(self, monkeypatch, fixture, closed_form):
+        config = load_fixture(f"scenarios/{fixture}")
+        config = replace(config, workload=replace(config.workload, items=2000))
+        calls = count_resource_samples(monkeypatch)
+        samples = run_scenario(config).report.resources["samples"]
+        assert samples > RESOURCE_CHUNK
+        assert len(calls) == (1 if closed_form else chunked_calls(samples))
 
     def test_azure_ram_delta_applied(self):
         result = run_fixture("azureedge-audio")
