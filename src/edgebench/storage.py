@@ -25,11 +25,16 @@ class BlobStore:
     """In-memory blob table with an optional on-disk JSON mirror.
 
     Creating a blob stamps T3 into the run table for each message it
-    holds. The store itself keeps one row per blob: creation time, size,
-    first message id and message count. Blobs are numbered when they are
-    listed, in (creation time, first id) order, and named
-    ``<route>/<ordinal>-<first-message-id>.json`` so listings are
-    deterministic and sortable.
+    holds. A call that creates one blob per message, for every delivered
+    id from its first id to its last in ascending order, is kept as that
+    id range alone: each delivered id in it is a blob of its own, created
+    at its T3 and sized by the envelope plus its payload, so those blobs
+    cost the store nothing per message. A range joins the previous one
+    when only dropped ids lie between them. Any other call keeps one row
+    per blob: creation time, size, first message id and message count.
+    Blobs are numbered when they are listed, in (creation time, first id)
+    order, and named ``<route>/<ordinal>-<first-message-id>.json`` so
+    listings are deterministic and sortable.
 
     With ``persist_dir`` set, the directory is made at once and
     :meth:`mirror` writes every blob to it at the end of the run.
@@ -47,9 +52,11 @@ class BlobStore:
         if self.persist_dir is not None:
             self.persist_dir.mkdir(parents=True, exist_ok=True)
         self.bodies: dict[int, str] = {}
-        # rows (created_at, size, first id, count), one array per create_blob call: no slack
-        # that grows with the run
+        # rows (created_at, size, first id, count), one array per create_blob call that keeps
+        # rows: no slack that grows with the run
         self._blobs: list[np.ndarray] = []
+        self._singles: list[list[int]] = []  # [a, b): each delivered id in it is a blob created at its t3
+        self._end = 0  # one past the highest id a call has stamped
         self._created = 0
         self._listing: list[BlobRecord] | None = None
         self.latest = 0  # the latest creation time so far
@@ -64,6 +71,24 @@ class BlobStore:
         if not first.size:
             return
         table = self.table
+        a, b = int(first[0]), int(first[-1]) + 1
+        # a range lies above every id stamped so far, so it restamps no T3 an earlier range lists
+        single = (a >= self._end and b <= table.started and np.array_equal(end, first + 1)
+                  and np.array_equal(first, a + np.flatnonzero(~table.dropped[a:b])))
+        self._end = max(self._end, int(end.max()))
+        self._created += len(first)
+        self.latest = max(self.latest, int(created_at.max()))
+        self._listing = None
+        if single:
+            table.t3[first] = created_at
+            if self._singles and table.dropped[self._singles[-1][1]:a].all():
+                self._singles[-1][1] = b
+            else:
+                self._singles.append([a, b])
+            return
+        if self._singles:  # keep their rows now: this call may restamp their T3
+            self._blobs.append(self._single_rows())
+            self._singles = []
         span = end - first
         ids = np.arange(span.sum()) + np.repeat(first - (np.cumsum(span) - span), span)
         blob = np.repeat(np.arange(len(first)), span)
@@ -75,9 +100,6 @@ class BlobStore:
         ends = np.cumsum(count)
         size = self.envelope_bytes + bytes_before[ends] - bytes_before[ends - count]
         self._blobs.append(np.column_stack((created_at, size, first, count)))
-        self._created += len(first)
-        self.latest = max(self.latest, int(created_at.max()))
-        self._listing = None
 
     def mirror(self) -> None:
         """Write each blob to ``persist_dir`` as JSON, with its messages' timestamps and bodies."""
@@ -113,7 +135,7 @@ class BlobStore:
         """
         if not self._created:
             return
-        rows = np.concatenate(self._blobs)
+        rows = np.concatenate(self._blobs + ([self._single_rows()] if self._singles else []))
         rows = rows[np.lexsort((rows[:, 2], rows[:, 0]))]
         delivered = self.table.delivered()
         start = np.searchsorted(delivered, rows[:, 2])
@@ -121,6 +143,13 @@ class BlobStore:
             created_at, size, first_id, count = rows[index].tolist()
             at = int(start[index])
             yield BlobRecord(self._name(index, first_id), created_at, delivered[at:at + count].tolist(), size)
+
+    def _single_rows(self) -> np.ndarray:
+        """The rows (T3, envelope + payload, id, 1) of the one-message blobs of the id ranges."""
+        table = self.table
+        ids = np.concatenate([a + np.flatnonzero(~table.dropped[a:b]) for a, b in self._singles])
+        return np.column_stack((table.t3[ids], self.envelope_bytes + table.payload[ids], ids,
+                                np.ones_like(ids)))
 
     def __len__(self) -> int:
         return self._created

@@ -80,6 +80,95 @@ class TestCreateBlob:
         assert store.list_blobs() == []
 
 
+def records(store):
+    return [(r.name, r.created_at, r.message_ids, r.size_bytes) for r in store.list_blobs()]
+
+
+class TestOneMessageBlobs:
+    """Calls of one blob per delivered id, ascending, are kept as id ranges and listed as rows would be."""
+
+    def test_gaps_left_by_dropped_ids(self):
+        # a lossy immediate hub: ids 1 and 4 never arrive
+        store = store_of(n=7, envelope_bytes=10)
+        store.table.dropped[[1, 4]] = True
+        store.create_blob([0, 2, 3], [1, 3, 4], [50, 40, 60])
+        store.create_blob([5, 6], [6, 7], [70, 70])
+        assert store.table.t3.tolist() == [50, UNSET, 40, 60, UNSET, 70, 70]
+        assert records(store) == [
+            ("results/000000-2.json", 40, [2], 172), ("results/000001-0.json", 50, [0], 172),
+            ("results/000002-3.json", 60, [3], 172), ("results/000003-5.json", 70, [5], 172),
+            ("results/000004-6.json", 70, [6], 172)]
+        assert len(store) == 5 and store.latest == 70
+
+    def test_ranges_separated_only_by_dropped_ids_merge(self):
+        store = store_of(n=10)
+        store.table.dropped[[3, 4, 8]] = True
+        for first in ([0, 1], [2], [5], [6, 7], [9]):  # one call per block, as the hub makes them
+            store.create_blob(first, np.add(first, 1), np.add(first, 100))
+        assert store._singles == [[0, 10]]
+        assert [(r[1], r[2]) for r in records(store)] == [
+            (100, [0]), (101, [1]), (102, [2]), (105, [5]), (106, [6]), (107, [7]), (109, [9])]
+
+    def test_ranges_separated_by_a_delivered_id_stay_apart(self):
+        store = store_of(n=3)
+        store.create_blob([0], [1], [7])
+        store.create_blob([2], [3], [7])  # id 1 is delivered but in no blob
+        assert store._singles == [[0, 1], [2, 3]]
+        assert [(r[1], r[2]) for r in records(store)] == [(7, [0]), (7, [2])]
+
+    def test_non_ascending_calls_keep_rows(self):
+        store = store_of(n=3)
+        store.create_blob([2, 0], [3, 1], [5, 9])
+        store.create_blob([1, 1], [2, 2], [7, 8])  # the same id twice
+        assert store._singles == []
+        assert records(store) == [
+            ("results/000000-2.json", 5, [2], 162), ("results/000001-1.json", 7, [1], 162),
+            ("results/000002-1.json", 8, [1], 162), ("results/000003-0.json", 9, [0], 162)]
+
+    def test_blob_of_a_dropped_id_is_envelope_only(self):
+        store = store_of(n=3, envelope_bytes=64)
+        store.table.dropped[1] = True
+        store.create_blob([0, 1, 2], [1, 2, 3], [5, 6, 7])
+        assert records(store) == [
+            ("results/000000-0.json", 5, [0], 226), ("results/000001-1.json", 6, [], 64),
+            ("results/000002-2.json", 7, [2], 226)]
+        assert store.table.t3[1] == UNSET
+
+    def test_mixed_with_range_blobs(self):
+        store = store_of(n=8)
+        store.create_blob([0, 1], [1, 2], [5, 6])
+        store.create_blob([2], [5], [8])  # ids 2-4 in one blob
+        store.create_blob([5, 6], [6, 7], [9, 3])
+        store.create_blob([1], [2], [20])  # restamps id 1: its first blob keeps its creation time
+        assert store.table.t3[:7].tolist() == [5, 20, 8, 8, 8, 9, 3]
+        assert records(store) == [
+            ("results/000000-6.json", 3, [6], 162), ("results/000001-0.json", 5, [0], 162),
+            ("results/000002-1.json", 6, [1], 162), ("results/000003-2.json", 8, [2, 3, 4], 3 * 162),
+            ("results/000004-5.json", 9, [5], 162), ("results/000005-1.json", 20, [1], 162)]
+        assert len(store) == 6 and store.latest == 20
+
+    def test_listing_is_rebuilt_after_a_one_message_call(self):
+        store = store_of(n=3)
+        store.create_blob([0], [1], [4])
+        assert [r[2] for r in records(store)] == [[0]]
+        store.create_blob([1, 2], [2, 3], [4, 3])
+        assert [(r[1], r[2]) for r in records(store)] == [(3, [2]), (4, [0]), (4, [1])]
+
+    def test_mirror(self, tmp_path):
+        store = store_of(n=3, payload=10, persist_dir=tmp_path, envelope_bytes=5)
+        store.table.dropped[1] = True
+        store.table.t1[:], store.table.t2[:] = [1, 2, 3], [11, 12, 13]
+        store.bodies[2] = "y" * 10
+        store.create_blob([0, 2], [1, 3], [30, 20])
+        store.mirror()
+        docs = [json.loads(p.read_text()) for p in sorted((tmp_path / "results").iterdir())]
+        assert docs == [
+            {"name": "results/000000-2.json", "created_at": 20,
+             "messages": [{"id": 2, "t1": 3, "t2": 13, "body": "y" * 10}]},
+            {"name": "results/000001-0.json", "created_at": 30,
+             "messages": [{"id": 0, "t1": 1, "t2": 11, "body": synthesize_body(DEVICE, 0, 10)}]}]
+
+
 class TestListBlobs:
     def test_empty_store(self):
         assert store_of().list_blobs() == []
