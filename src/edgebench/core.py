@@ -18,9 +18,6 @@ import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
 MS_PER_S = 1000
-# The latest virtual time (ms) a run may reach, ~285,000 years. Every
-# integer up to 2**53 is exact as a double, as the report's means assume.
-HORIZON_MS = 2**53 - 1
 
 
 class SimulationError(Exception):
@@ -49,18 +46,6 @@ def to_ms(value):
             raise SimulationError(f"drawn quantity {top!r} does not fit in int64")
         return np.maximum(rounded, 0).astype(np.int64)
     return max(0, round(value))
-
-
-def check_horizon(latest, what: str) -> None:
-    """Raise SimulationError if ``latest`` (ms) is past HORIZON_MS.
-
-    ``latest`` is a float64 sum of non-negative times and delays, each an
-    int64 or a Python int. Unlike an int64 sum it cannot wrap. It is exact
-    while it stays below 2**53, and rounding is monotonic, so it reaches
-    2**53 exactly when the exact sum does: the comparison is exact.
-    """
-    if latest > HORIZON_MS:
-        raise SimulationError(f"{what} reaches {latest:.6g} ms, past the horizon of {HORIZON_MS} ms")
 
 
 class Clock:

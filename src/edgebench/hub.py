@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Distribution, SeededRng, check_horizon, constant, sample_rows, to_ms
+from .core import Distribution, SeededRng, constant, sample_rows, to_ms
 
 PLATFORM_MIN_WINDOW_S = 60
 PLATFORM_MIN_CHUNK_BYTES = 10 * 1000 * 1000
@@ -93,7 +93,6 @@ class Hub:
         self._last_arrival = int(arrival[-1])
         if self.policy.mode == "immediate":
             write = to_ms(sample_rows(self.rng, (self.policy.write_latency_ms,), ids.size)[:, 0])
-            check_horizon((arrival + write.astype(float)).max(), "the hub's blob writes")
             self.on_blob(ids, ids + 1, arrival + write)
             return
         if self.policy.chunk_bytes is None:
@@ -114,9 +113,7 @@ class Hub:
     def _route_windows(self, ids: np.ndarray, t2: np.ndarray) -> None:
         """Window batching: a batch is the arrivals of one window, flushed at its boundary."""
         boundary = self._boundaries(t2)
-        # arrivals come in time order, so boundaries never decrease, and the last one's batch
-        # flushes at the block's latest boundary
-        check_horizon(float(boundary[-1]) + self._holdback, "the hub's batch flushes")
+        # arrivals come in time order, so boundaries never decrease
         before = np.concatenate(([-1 if self._boundary is None else self._boundary], boundary[:-1]))
         opens = np.flatnonzero(boundary != before)  # arrivals that open a new window's batch
         if self._open is not None:  # it takes the arrivals before the first new window
@@ -149,7 +146,6 @@ class Hub:
                 self._flush(t)
 
     def _flush(self, flush_time: int) -> None:
-        check_horizon(flush_time + self._holdback, "the hub's batch flushes")
         self._flushed.append((*self._open, flush_time + self._holdback))
         self._open, self._open_bytes = None, 0
 

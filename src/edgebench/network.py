@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Distribution, SeededRng, check_horizon, constant, sample_rows, to_ms
+from .core import Distribution, SeededRng, constant, sample_rows, to_ms
 
 
 @dataclass(frozen=True)
@@ -35,13 +35,11 @@ class LinkModel:
         """Whole-ms time to push ``total_bytes`` (an int or an int64 array) through the link.
 
         Ceiling keeps the integer clock; the <=1 ms error is far below
-        the tens-of-ms flight times being modeled. A time past the
-        horizon reads 2**53, which no run reaches, instead of wrapping.
+        the tens-of-ms flight times being modeled.
         """
         if self.bandwidth_bytes_per_s is None:
             return 0
-        ms = np.ceil(total_bytes * 1000.0 / self.bandwidth_bytes_per_s)
-        return np.minimum(ms, 2.0 ** 53).astype(np.int64)
+        return np.ceil(total_bytes * 1000 / self.bandwidth_bytes_per_s).astype(np.int64)
 
 
 @dataclass
@@ -112,10 +110,7 @@ class Link:
                 payload_bytes, send_time = payload_bytes[kept], send_time[kept]
             flight = to_ms(sample_rows(self._rng, (model.propagation_ms,), len(send_time))[:, 0])
         overhead = model.per_message_overhead_bytes
-        serialization = model.serialization_ms(payload_bytes + overhead)
-        check_horizon((send_time + flight.astype(float) + serialization).max(initial=0.0),
-                      "the link's arrivals")
-        flight += serialization
+        flight += model.serialization_ms(payload_bytes + overhead)
         last = self._last_arrival.get(source, 0)
         arrival = np.maximum.accumulate(np.maximum(send_time + flight, last))
         if arrival.size:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .cloud import time_cloud_item
 from .config import ScenarioConfig
-from .core import Clock, EventLoop, SeededRng, SimulationError, sample_rows, to_ms
+from .core import Clock, EventLoop, SeededRng, sample_rows, to_ms
 from .hub import Hub
 from .metrics import (MetricRow, RunReport, RunTable, aggregate, finalize_row, metric_rows,
                       report_to_json, rows_to_csv)
@@ -42,9 +42,6 @@ from .workloads import DEVICE, ResourceProfile, run_item
 CLOUD_FUNCTION_SOURCE = "cloud-function"
 BLOCK = 1024  # message ids one block event computes at most; bounds the engine's memory
 RESOURCE_CHUNK = 1024  # resource samples drawn per block; bounds the replay's memory
-# Samples a replay may draw, one per virtual second (~3.2 years); bounds its time. A
-# uniform profile replays 10**6 samples in ~60 ms on a 2-vCPU x86-64 KVM guest.
-RESOURCE_BUDGET = 10**8
 
 
 @dataclass
@@ -212,7 +209,7 @@ def _replay_resources(config: ScenarioConfig, root: SeededRng, duration_ms: int)
     sample; the leading ``0.0`` is the loop's start value, so a ``-0.0``
     sample would sum to ``0.0`` as in the loop. Other constants (such as
     12.345) and every random profile are summed in chunks of
-    RESOURCE_CHUNK samples, at most RESOURCE_BUDGET of them.
+    RESOURCE_CHUNK samples.
     """
     profile = config.resources
     if profile is None:
@@ -224,9 +221,6 @@ def _replay_resources(config: ScenarioConfig, root: SeededRng, duration_ms: int)
         values = [float(column[0]) for column in profile.sample(rng, 1)]  # draws nothing
         if all(n * abs(v.as_integer_ratio()[0]) <= 2 ** 53 for v in values):
             totals = [0.0 + n * v for v in values]
-    if totals is None and n > RESOURCE_BUDGET:
-        raise SimulationError(f"resources: a replay of {n} one-second samples exceeds the budget "
-                              f"of {RESOURCE_BUDGET}")
     cpu_total, ram_total = totals or _chunked_totals(profile, rng, n)
     return {
         "mode": "modeled",

@@ -73,7 +73,7 @@ class BlobStore:
         table = self.table
         a, b = int(first[0]), int(first[-1]) + 1
         # a range lies above every id stamped so far, so it restamps no T3 an earlier range lists
-        single = (a >= self._end and b <= table.started and np.array_equal(end, first + 1)
+        single = (a >= self._end and np.array_equal(end, first + 1)
                   and np.array_equal(first, a + np.flatnonzero(~table.dropped[a:b])))
         self._end = max(self._end, int(end.max()))
         self._created += len(first)

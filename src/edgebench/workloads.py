@@ -13,8 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (Distribution, SeededRng, SimulationError, check_horizon, constant, sample_rows, to_ms,
-                   uniform)
+from .core import Distribution, SeededRng, SimulationError, constant, sample_rows, to_ms, uniform
 
 WORKLOAD_KINDS = ("scalar", "image", "audio", "custom")
 
@@ -317,9 +316,6 @@ def run_item(
         else:
             payload = to_ms(rows[:, 2])
     gaps = np.full(count, round(spec.scalar_interval_s * 1000)) if scalar else to_ms(rows[:, -1])
-    # the block's latest time: the next item's start, or the run's last send
-    check_horizon(start + c_edge.sum(dtype=float) + gaps[:count - last].sum(dtype=float),
-                  "the device timeline")
     steps = c_edge + gaps
     send = start + np.cumsum(steps) - gaps
     next_start = None if last else int(send[-1] + gaps[-1])

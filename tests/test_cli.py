@@ -75,17 +75,6 @@ class TestRun:
         assert "does not fit in int64" in err
         assert not (tmp_path / "out" / "metrics.csv").exists()
 
-    @pytest.mark.parametrize("resources", ["", "resources: null\n"], ids=["resources", "no-resources"])
-    def test_timeline_past_the_horizon_exits_nonzero(self, capsys, tmp_path, resources):
-        # 4e18 ms per item: the third item's t1 used to wrap to -6.4e18
-        config = tmp_path / "long.yaml"
-        config.write_text("extends: scenarios/greengrass-image\n"
-                          "workload: {items: 3, compute_ms: {constant: 4.0e+18}}\n" + resources)
-        code, _, err = run_cli(capsys, "run", "--config", str(config), "--out", str(tmp_path / "out"))
-        assert code == 2
-        assert "device timeline reaches 1.2e+19 ms, past the horizon" in err
-        assert not (tmp_path / "out" / "metrics.csv").exists()
-
 
 class TestCompare:
     def test_byte_ratio_column(self, capsys, tmp_path):

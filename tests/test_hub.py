@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from edgebench.core import HORIZON_MS, SeededRng, SimulationError, constant
+from edgebench.core import SeededRng, constant
 from edgebench.hub import Hub, HubPolicy
 from edgebench.metrics import RunTable
 from edgebench.storage import BlobStore
@@ -152,23 +152,6 @@ class TestBatched:
         for ids, _ in blobs:
             t2s = [table.t2[mid] for mid in ids]
             assert t2s == sorted(t2s)
-
-
-class TestHorizon:
-    # each policy creates the blob of a message arriving at HORIZON_MS - 1000 + past at HORIZON_MS + past
-    @pytest.mark.parametrize("policy", [
-        HubPolicy(mode="immediate", write_latency_ms=constant(1000)),
-        HubPolicy(mode="batched", window_s=0.001, holdback_s=1.0),
-        HubPolicy(mode="batched", chunk_bytes=1, holdback_s=1.0),
-    ], ids=["immediate", "window", "chunk"])
-    @pytest.mark.parametrize("past", [0, 1])
-    def test_blobs_are_created_up_to_the_horizon(self, policy, past):
-        arrival = HORIZON_MS - 1000 + past
-        if past:
-            with pytest.raises(SimulationError, match="hub's.*horizon"):
-                run_hub(policy, [arrival])
-        else:
-            assert run_hub(policy, [arrival])[1] == [([0], HORIZON_MS)]
 
 
 class TestPolicyvalidation:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from edgebench.core import HORIZON_MS, SeededRng, SimulationError, constant, uniform
+from edgebench.core import SeededRng, constant, uniform
 from edgebench.network import ByteLedger, Link, LinkModel, ledger_report
 
 
@@ -101,25 +101,6 @@ class TestDeliver:
         link = make_link(LinkModel(drop_probability=1.0))
         assert deliver(link, [10, 10], [0, 5]) == [None, None]
         assert link.ledger.total().transmitted_bytes == 0
-
-
-class TestHorizon:
-    @pytest.mark.parametrize("past", [0, 1])
-    def test_arrivals_end_at_the_horizon(self, past):
-        # send + propagation + serialization (1000 B at 1 B/s) lands on HORIZON_MS + past
-        link = make_link(LinkModel(propagation_ms=constant(78), bandwidth_bytes_per_s=1))
-        send = HORIZON_MS - 78 - 10 ** 6 + past
-        if past:
-            with pytest.raises(SimulationError, match="link's arrivals.*horizon"):
-                deliver(link, [1000], [send])
-        else:
-            assert deliver(link, [1000], [send]) == [HORIZON_MS]
-
-    def test_serialization_past_the_horizon_fails_instead_of_wrapping(self):
-        # 2**62 bytes at 1 B/s take 2**72 ms, which int64 cannot hold
-        link = make_link(LinkModel(bandwidth_bytes_per_s=1))
-        with pytest.raises(SimulationError, match="link's arrivals.*horizon"):
-            deliver(link, [2 ** 62], [0])
 
 
 class TestLedger:

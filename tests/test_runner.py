@@ -313,22 +313,6 @@ class TestReports:
         assert samples > RESOURCE_CHUNK
         assert len(calls) == (1 if closed_form else chunked_calls(samples))
 
-    def test_replay_past_its_sample_budget_fails_before_its_first_draw(self, monkeypatch):
-        config = load_fixture("scenarios/acceptance-10k")  # uniform cpu and ram
-        monkeypatch.setattr(runner, "RESOURCE_BUDGET", 5)
-        calls = count_resource_samples(monkeypatch)
-        assert _replay_resources(config, SeededRng(config.seed), 5000)["samples"] == 5
-        with pytest.raises(SimulationError, match="resources.*budget"):
-            _replay_resources(config, SeededRng(config.seed), 5001)
-        assert calls == [5]
-
-    def test_long_run_fails_on_the_replay_budget(self):
-        # one item of 2e11 ms: 2e8 one-second samples of a uniform profile
-        config = load_fixture("scenarios/acceptance-10k")
-        config = replace(config, workload=replace(config.workload, items=1, compute_ms=constant(2.0e11)))
-        with pytest.raises(SimulationError, match="resources.*budget"):
-            run_scenario(config)
-
     def test_azure_ram_delta_applied(self):
         result = run_fixture("azureedge-audio")
         assert result.report.resources["ram_mb_mean"] == pytest.approx(145 + 42)
