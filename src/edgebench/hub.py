@@ -123,6 +123,7 @@ class Hub:
             if not opens.size:
                 return
             self._flush(self._boundary)
+            self._hand_over()  # before the windows after it, so blobs come in id order
         closes = opens[1:] - 1  # the last arrival of each window that ends within the block
         self.on_blob(ids[opens[:-1]], ids[closes] + 1, boundary[closes] + self._holdback)
         self._open = [int(ids[opens[-1]]), int(ids[-1]) + 1]

@@ -65,7 +65,6 @@ class Run:
     link: Link
     table: RunTable
     store: BlobStore
-    hub: Hub | None = None
 
 
 def run_scenario(config: ScenarioConfig, persist_blobs: str | Path | None = None) -> RunResult:
@@ -137,7 +136,7 @@ def _drive_edge(run: Run, loop: EventLoop, block: int) -> None:
     wl_rng = run.root.substream("workload")
     link, table, store = run.link, run.table, run.store
     persist = store.persist_dir is not None
-    hub = run.hub = Hub(run.config.hub, run.root.substream("hub"), table, store.create_blob)
+    hub = Hub(run.config.hub, run.root.substream("hub"), table, store.create_blob)
 
     def start_block(first):
         count = min(block, spec.items - first)

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from .metrics import RunTable
+from .metrics import IncompleteRecord, RunTable
 from .workloads import DEVICE, synthesize_body
 
 
@@ -24,17 +25,18 @@ class BlobRecord:
 class BlobStore:
     """In-memory blob table with an optional on-disk JSON mirror.
 
-    Creating a blob stamps T3 into the run table for each message it
-    holds. A call that creates one blob per message, for every delivered
-    id from its first id to its last in ascending order, is kept as that
-    id range alone: each delivered id in it is a blob of its own, created
-    at its T3 and sized by the envelope plus its payload, so those blobs
-    cost the store nothing per message. A range joins the previous one
-    when only dropped ids lie between them. Any other call keeps one row
-    per blob: creation time, size, first message id and message count.
-    Blobs are numbered when they are listed, in (creation time, first id)
-    order, and named ``<route>/<ordinal>-<first-message-id>.json`` so
-    listings are deterministic and sortable.
+    The blobs partition the delivered ids in id order: each call of
+    :meth:`create_blob` goes on where the last one ended. So a blob holds
+    the delivered ids from its first id to the next blob's, and the store
+    keeps only which ids start a blob: ``[a, b)`` pairs in one flat int64
+    ``array``, each delivered id in a pair starting one. A call of one
+    blob per delivered id adds one pair, a batch ``[first, first + 1)``,
+    and a pair joins the previous one when only dropped ids lie between
+    them.
+    A blob's creation time is the T3 of its first id, its size the
+    envelope plus its messages' payloads. Blobs are numbered when listed,
+    in (creation time, first id) order, and named
+    ``<route>/<ordinal>-<first-message-id>.json``.
 
     With ``persist_dir`` set, the directory is made at once and
     :meth:`mirror` writes every blob to it at the end of the run.
@@ -52,54 +54,48 @@ class BlobStore:
         if self.persist_dir is not None:
             self.persist_dir.mkdir(parents=True, exist_ok=True)
         self.bodies: dict[int, str] = {}
-        # rows (created_at, size, first id, count), one array per create_blob call that keeps
-        # rows: no slack that grows with the run
-        self._blobs: list[np.ndarray] = []
-        self._singles: list[list[int]] = []  # [a, b): each delivered id in it is a blob created at its t3
-        self._end = 0  # one past the highest id a call has stamped
+        self._starts = array("q")  # the [a, b) pairs, flat
+        self._end = 0  # one past the latest blob's last id
         self._created = 0
         self._listing: list[BlobRecord] | None = None
         self.latest = 0  # the latest creation time so far
 
-    def _name(self, index: int, first_id: int) -> str:
-        return f"{self.route}/{index:06d}-{first_id}.json"
-
     def create_blob(self, first, end, created_at) -> None:
         """Create blobs: blob j holds the delivered messages with ids in
-        ``[first[j], end[j])`` and stamps their T3 with ``created_at[j]``."""
+        ``[first[j], end[j])`` and stamps their T3 with ``created_at[j]``.
+
+        A blob must start with a delivered id, with only dropped ids since
+        the previous blob's end. A delivered id left out raises
+        IncompleteRecord naming it; any other break raises ValueError.
+        """
         first, end, created_at = (np.asarray(a, dtype=np.int64) for a in (first, end, created_at))
         if not first.size:
             return
         table = self.table
-        a, b = int(first[0]), int(first[-1]) + 1
-        # a range lies above every id stamped so far, so it restamps no T3 an earlier range lists
-        single = (a >= self._end and np.array_equal(end, first + 1)
-                  and np.array_equal(first, a + np.flatnonzero(~table.dropped[a:b])))
-        self._end = max(self._end, int(end.max()))
+        a, b = int(first[0]), int(end[-1])
+        held = self._end + np.flatnonzero(~table.dropped[self._end:b])  # the ids the call must hold
+        if np.array_equal(end, first + 1) and np.array_equal(first, held):  # immediate hub, cloud
+            table.t3[first] = created_at
+            pairs = [a, b]
+        else:
+            if (a < self._end or (end <= first).any() or (first[1:] < end[:-1]).any()
+                    or table.dropped[first].any()):
+                raise ValueError(f"blobs must be ascending and disjoint from id {self._end} on, "
+                                 "each starting with a delivered id")
+            blob = np.searchsorted(first, held + 1) - 1  # the last blob starting at or before each id
+            missing = held[(held < first[blob]) | (held >= end[blob])]
+            if missing.size:
+                raise IncompleteRecord(f"message {missing[0]}: delivered but in no blob")
+            table.t3[held] = created_at[blob]
+            pairs = np.column_stack((first, first + 1)).ravel().tolist()
+        if self._starts and table.dropped[self._starts[-1]:a].all():
+            self._starts[-1] = pairs[1]  # joins the previous pair
+            del pairs[:2]
+        self._starts.extend(pairs)
+        self._end = b
         self._created += len(first)
         self.latest = max(self.latest, int(created_at.max()))
         self._listing = None
-        if single:
-            table.t3[first] = created_at
-            if self._singles and table.dropped[self._singles[-1][1]:a].all():
-                self._singles[-1][1] = b
-            else:
-                self._singles.append([a, b])
-            return
-        if self._singles:  # keep their rows now: this call may restamp their T3
-            self._blobs.append(self._single_rows())
-            self._singles = []
-        span = end - first
-        ids = np.arange(span.sum()) + np.repeat(first - (np.cumsum(span) - span), span)
-        blob = np.repeat(np.arange(len(first)), span)
-        stored = ~table.dropped[ids]
-        ids, blob = ids[stored], blob[stored]
-        table.t3[ids] = created_at[blob]
-        count = np.bincount(blob, minlength=len(first))
-        bytes_before = np.concatenate(([0], np.cumsum(table.payload[ids])))
-        ends = np.cumsum(count)
-        size = self.envelope_bytes + bytes_before[ends] - bytes_before[ends - count]
-        self._blobs.append(np.column_stack((created_at, size, first, count)))
 
     def mirror(self) -> None:
         """Write each blob to ``persist_dir`` as JSON, with its messages' timestamps and bodies."""
@@ -118,38 +114,32 @@ class BlobStore:
         self.bodies.clear()  # frees the table the emptied dict still holds
 
     def list_blobs(self) -> list[BlobRecord]:
-        """Every blob, ordered by (created_at, name).
+        """Every blob, in numbering order: by (created_at, first id).
 
         A blob's ``message_ids`` are in id order. The records are built
         once and returned again until the next blob is created.
         """
         if self._listing is None:
-            self._listing = sorted(self._numbered(), key=lambda r: (r.created_at, r.name))
+            self._listing = list(self._numbered())
         return list(self._listing)
 
     def _numbered(self) -> Iterator[BlobRecord]:
-        """Each blob's record, numbered in (created_at, first id) order, one at a time.
-
-        A blob holds the consecutive delivered messages of its id range,
-        so its ids are the ``count`` delivered ids from its first id on.
-        """
-        if not self._created:
-            return
-        rows = np.concatenate(self._blobs + ([self._single_rows()] if self._singles else []))
-        rows = rows[np.lexsort((rows[:, 2], rows[:, 0]))]
-        delivered = self.table.delivered()
-        start = np.searchsorted(delivered, rows[:, 2])
-        for index in range(len(rows)):
-            created_at, size, first_id, count = rows[index].tolist()
-            at = int(start[index])
-            yield BlobRecord(self._name(index, first_id), created_at, delivered[at:at + count].tolist(), size)
-
-    def _single_rows(self) -> np.ndarray:
-        """The rows (T3, envelope + payload, id, 1) of the one-message blobs of the id ranges."""
+        """Each blob's record, numbered in (created_at, first id) order, one at a time."""
         table = self.table
-        ids = np.concatenate([a + np.flatnonzero(~table.dropped[a:b]) for a, b in self._singles])
-        return np.column_stack((table.t3[ids], self.envelope_bytes + table.payload[ids], ids,
-                                np.ones_like(ids)))
+        ids = np.flatnonzero(~table.dropped[:self._end])  # the ids the blobs hold, in id order
+        starts = np.zeros(self._end, dtype=bool)
+        for a, b in zip(self._starts[::2], self._starts[1::2]):
+            starts[a:b] = True
+        at = np.flatnonzero(starts[ids])  # where each blob's ids begin in ids
+        bounds = np.append(at, ids.size)
+        size = self.envelope_bytes + np.diff(np.concatenate(([0], np.cumsum(table.payload[ids])))[bounds])
+        created = table.t3[ids[at]]
+        order = np.argsort(created, kind="stable")  # ties stay in first-id order
+        bounds, created, size = bounds.tolist(), created.tolist(), size.tolist()
+        for index, j in enumerate(order.tolist()):
+            lo, hi = bounds[j], bounds[j + 1]
+            name = f"{self.route}/{index:06d}-{ids[lo]}.json"
+            yield BlobRecord(name, created[j], ids[lo:hi].tolist(), size[j])
 
     def __len__(self) -> int:
         return self._created

@@ -105,6 +105,20 @@ class TestBatched:
         assert [(b.message_ids, b.created_at) for b in blobs] == [([0], 150), ([1], 250), ([2], 650)]
         assert table.t3.tolist() == [150, 250, 650]
 
+    def test_blobs_are_handed_over_in_id_order(self):
+        # the second block closes the open batch of window (0, 1000] and completes the
+        # windows (1000, 2000] and (2000, 3000]: the closed batch is handed over first
+        table = RunTable(5)
+        table.started = 5
+        calls = []
+        hub = Hub(self.windowed(1), SeededRng(0).substream("hub"), table,
+                  lambda first, end, created_at: calls.append((first.tolist(), end.tolist())))
+        hub.ingest(np.array([0]), np.array([500]))
+        hub.ingest(np.array([1, 2, 3, 4]), np.array([900, 1500, 2500, 3500]))
+        hub.close(3500)
+        blobs = [blob for first, end in calls for blob in zip(first, end)]
+        assert blobs == [(0, 2), (2, 3), (3, 4), (4, 5)]
+
     def test_chunk_trigger_flushes_mid_window(self):
         policy = self.windowed(60, chunk=250)
         table, blobs = run_hub(policy, [1000, 2000, 3000], payload_bytes=100)

@@ -26,8 +26,9 @@ from edgebench.workloads import scalar_batch_body
 
 SMALL, LARGE = 1_000, 5_000
 MAX_BYTES_PER_MSG = 150
-# the run table's 41 B (five int64 columns and the dropped mask) plus slack: a
-# blob store that kept a 32 B row per one-message blob would hold 73 B
+# the run table's 41 B (five int64 columns and the dropped mask) plus slack: the blob
+# store keeps a 16 B range of blob starts per batch and per run of one-message blobs;
+# a 32 B row per one-message blob would make it 73 B
 MAX_TABLE_BYTES_PER_MSG = 48
 FIXTURES = ["acceptance-10k", "greengrass-scalar", "aws-cloud-image"]
 # transient sizes: the smaller holds more than one block of every stage
@@ -86,8 +87,9 @@ def test_retained_bytes_per_message(fixture):
 
 @pytest.mark.parametrize("fixture", FIXTURES)
 def test_a_run_retains_little_beyond_its_table(fixture):
-    # acceptance-10k's batches cost the blob store a row each; the one-message blobs of
-    # greengrass-scalar (immediate hub) and aws-cloud-image (cloud function) cost it nothing
+    # the blob store keeps where each blob starts: acceptance-10k's batches cost it a
+    # 16 B range each, and the one-message blobs of greengrass-scalar (immediate hub)
+    # and aws-cloud-image (cloud function) one range for the whole run
     per_msg = retained_bytes_per_message(fixture)
     assert per_msg < MAX_TABLE_BYTES_PER_MSG, f"{fixture}: {per_msg:.1f} B retained per message"
 

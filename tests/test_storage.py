@@ -3,8 +3,11 @@
 import json
 
 import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from edgebench.metrics import UNSET, RunTable
+from edgebench.metrics import UNSET, IncompleteRecord, RunTable
 from edgebench.storage import BlobStore
 from edgebench.workloads import DEVICE, synthesize_body
 
@@ -27,21 +30,21 @@ class TestCreateBlob:
         assert record.message_ids == [0]
         assert store.table.t3[0] == 100
 
-    def test_empty_blob_is_envelope_only(self):
+    def test_empty_blob_is_rejected(self):
         store = store_of(envelope_bytes=64)
-        store.create_blob([0], [0], [5])
-        (record,) = store.list_blobs()
-        assert record.size_bytes == 64
-        assert record.message_ids == []
+        with pytest.raises(ValueError, match="ascending and disjoint"):
+            store.create_blob([0], [0], [5])
+        assert len(store) == 0 and store.list_blobs() == []
 
     def test_blob_names_are_unique(self):
-        # two blobs that start with the same message still get different names
+        # blobs created at the same time get different names; no two blobs start with one message
         store = store_of()
-        for created_at in range(3):
-            store.create_blob([0], [0], [created_at])
-        store.create_blob([0], [1], [3])
+        store.create_blob([0, 1], [1, 2], [3, 3])
+        store.create_blob([2, 5], [5, 6], [3, 3])
         names = [r.name for r in store.list_blobs()]
         assert len(set(names)) == len(names) == 4
+        with pytest.raises(ValueError, match="disjoint from id 6 on"):
+            store.create_blob([5], [7], [4])
 
     def test_names_are_deterministic_and_sortable(self):
         store = store_of(route="results")
@@ -62,11 +65,11 @@ class TestCreateBlob:
         assert store.table.t3[1] == UNSET
 
     def test_blobs_numbered_by_creation_time_then_first_id(self):
-        # blobs are created in any order; T3 is stamped at once, the ordinals when listed
+        # blobs are created in id order at any times; T3 is stamped at once, the ordinals when listed
         store = store_of()
+        store.create_blob([0], [1], [30])
+        store.create_blob(np.array([1, 2]), np.array([2, 3]), np.array([10, 10]))
         store.create_blob([3], [4], [40])
-        store.create_blob(np.array([0, 2]), np.array([1, 3]), np.array([30, 10]))
-        store.create_blob([1], [2], [10])
         assert store.latest == 40
         assert store.table.t3[:4].tolist() == [30, 10, 10, 40]
         assert [(r.name, r.created_at, r.message_ids) for r in store.list_blobs()] == [
@@ -85,7 +88,7 @@ def records(store):
 
 
 class TestOneMessageBlobs:
-    """Calls of one blob per delivered id, ascending, are kept as id ranges and listed as rows would be."""
+    """Calls of one blob per delivered id add one range of blob starts; they list as other blobs do."""
 
     def test_gaps_left_by_dropped_ids(self):
         # a lossy immediate hub: ids 1 and 4 never arrive
@@ -105,47 +108,61 @@ class TestOneMessageBlobs:
         store.table.dropped[[3, 4, 8]] = True
         for first in ([0, 1], [2], [5], [6, 7], [9]):  # one call per block, as the hub makes them
             store.create_blob(first, np.add(first, 1), np.add(first, 100))
-        assert store._singles == [[0, 10]]
         assert [(r[1], r[2]) for r in records(store)] == [
             (100, [0]), (101, [1]), (102, [2]), (105, [5]), (106, [6]), (107, [7]), (109, [9])]
 
     def test_ranges_separated_by_a_delivered_id_stay_apart(self):
-        store = store_of(n=3)
+        # the batch's ids 1 and 2 start no blob, so the one-message ranges around it stay apart
+        store = store_of(n=5)
         store.create_blob([0], [1], [7])
-        store.create_blob([2], [3], [7])  # id 1 is delivered but in no blob
-        assert store._singles == [[0, 1], [2, 3]]
-        assert [(r[1], r[2]) for r in records(store)] == [(7, [0]), (7, [2])]
+        store.create_blob([1], [3], [8])
+        store.create_blob([3, 4], [4, 5], [7, 9])
+        assert [(r[1], r[2]) for r in records(store)] == [(7, [0]), (7, [3]), (8, [1, 2]), (9, [4])]
 
-    def test_non_ascending_calls_keep_rows(self):
+    def test_delivered_id_in_no_blob_is_rejected(self):
+        store = store_of(n=4)
+        store.create_blob([0], [1], [7])
+        with pytest.raises(IncompleteRecord, match="message 1: delivered but in no blob"):
+            store.create_blob([2], [3], [7])
+        with pytest.raises(IncompleteRecord, match="message 2: delivered but in no blob"):
+            store.create_blob([1, 3], [2, 4], [7, 7])
+        assert records(store) == [("results/000000-0.json", 7, [0], 162)]
+
+    def test_non_ascending_calls_are_rejected(self):
         store = store_of(n=3)
-        store.create_blob([2, 0], [3, 1], [5, 9])
-        store.create_blob([1, 1], [2, 2], [7, 8])  # the same id twice
-        assert store._singles == []
-        assert records(store) == [
-            ("results/000000-2.json", 5, [2], 162), ("results/000001-1.json", 7, [1], 162),
-            ("results/000002-1.json", 8, [1], 162), ("results/000003-0.json", 9, [0], 162)]
+        with pytest.raises(ValueError, match="ascending and disjoint"):
+            store.create_blob([2, 0], [3, 1], [5, 9])
+        with pytest.raises(ValueError, match="ascending and disjoint"):
+            store.create_blob([0, 0], [1, 1], [7, 8])  # the same id twice
+        store.create_blob([0], [2], [5])
+        with pytest.raises(ValueError, match="disjoint from id 2 on"):
+            store.create_blob([1], [2], [6])
+        assert records(store) == [("results/000000-0.json", 5, [0, 1], 2 * 162)]
+        assert store.table.t3[:3].tolist() == [5, 5, UNSET]
 
-    def test_blob_of_a_dropped_id_is_envelope_only(self):
+    def test_blob_starting_with_a_dropped_id_is_rejected(self):
         store = store_of(n=3, envelope_bytes=64)
         store.table.dropped[1] = True
-        store.create_blob([0, 1, 2], [1, 2, 3], [5, 6, 7])
-        assert records(store) == [
-            ("results/000000-0.json", 5, [0], 226), ("results/000001-1.json", 6, [], 64),
-            ("results/000002-2.json", 7, [2], 226)]
-        assert store.table.t3[1] == UNSET
+        with pytest.raises(ValueError, match="each starting with a delivered id"):
+            store.create_blob([0, 1, 2], [1, 2, 3], [5, 6, 7])
+        assert store.table.t3[:3].tolist() == [UNSET] * 3
+        store.create_blob([0, 2], [2, 3], [5, 7])  # dropped ids may end a blob
+        assert records(store) == [("results/000000-0.json", 5, [0], 226),
+                                  ("results/000001-2.json", 7, [2], 226)]
 
     def test_mixed_with_range_blobs(self):
         store = store_of(n=8)
         store.create_blob([0, 1], [1, 2], [5, 6])
         store.create_blob([2], [5], [8])  # ids 2-4 in one blob
         store.create_blob([5, 6], [6, 7], [9, 3])
-        store.create_blob([1], [2], [20])  # restamps id 1: its first blob keeps its creation time
-        assert store.table.t3[:7].tolist() == [5, 20, 8, 8, 8, 9, 3]
+        with pytest.raises(ValueError, match="disjoint from id 7 on"):
+            store.create_blob([1], [2], [20])  # a blob holds id 1 already
+        assert store.table.t3[:7].tolist() == [5, 6, 8, 8, 8, 9, 3]
         assert records(store) == [
             ("results/000000-6.json", 3, [6], 162), ("results/000001-0.json", 5, [0], 162),
             ("results/000002-1.json", 6, [1], 162), ("results/000003-2.json", 8, [2, 3, 4], 3 * 162),
-            ("results/000004-5.json", 9, [5], 162), ("results/000005-1.json", 20, [1], 162)]
-        assert len(store) == 6 and store.latest == 20
+            ("results/000004-5.json", 9, [5], 162)]
+        assert len(store) == 5 and store.latest == 9
 
     def test_listing_is_rebuilt_after_a_one_message_call(self):
         store = store_of(n=3)
@@ -236,3 +253,91 @@ class TestPersistence:
         store = store_of()
         store.create_blob([0], [1], [1])
         assert list(tmp_path.iterdir()) == []
+
+
+@st.composite
+def partitioned_calls(draw):
+    """A run table with random drops and payloads, and calls that partition its delivered ids.
+
+    Each delivered id may start a blob; a blob's range ends anywhere from
+    one past its last delivered id to the next blob's start, so dropped
+    ids may trail it; the blobs are cut into calls of random lengths.
+    Returns (table, calls), each call a list of (first, end, created_at).
+    """
+    n = draw(st.integers(1, 24))
+    table = RunTable(n)
+    table.started = n
+    table.dropped[:] = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    table.payload[:] = draw(st.lists(st.integers(0, 300), min_size=n, max_size=n))
+    delivered = np.flatnonzero(~table.dropped).tolist()
+    if not delivered:
+        return table, []
+    starts = [delivered[0]] + [mid for mid in delivered[1:] if draw(st.booleans())]
+    blobs = []
+    for first, after in zip(starts, starts[1:] + [n]):
+        last = max(mid for mid in delivered if first <= mid < after)
+        blobs.append((first, draw(st.integers(last + 1, after)), draw(st.integers(0, 50))))
+    calls, rest = [], blobs
+    while rest:
+        size = draw(st.integers(1, len(rest)))
+        calls.append(rest[:size])
+        rest = rest[size:]
+    return table, calls
+
+
+def reference_listing(table, blobs, envelope_bytes):
+    """The listing of ``blobs`` [(first, end, created_at)], built one message at a time."""
+    held = []
+    for first, end, created_at in blobs:
+        ids = [mid for mid in range(first, end) if not table.dropped[mid]]
+        held.append((created_at, first, ids, envelope_bytes + sum(int(table.payload[m]) for m in ids)))
+    return [(f"results/{index:06d}-{first}.json", created_at, ids, size)
+            for index, (created_at, first, ids, size) in enumerate(sorted(held))]
+
+
+def create(store, call):
+    store.create_blob(*(np.array(column, dtype=np.int64) for column in zip(*call)))
+
+
+class TestPartition:
+    """Any partition of the delivered ids, cut into any calls, lists like a per-message reference."""
+
+    @given(partitioned_calls(), st.integers(0, 64))
+    @example((store_of(n=4).table, [[(0, 1, 5), (1, 2, 3)], [(2, 3, 4), (3, 4, 4)]]), 0)
+    def test_listing_matches_the_reference(self, case, envelope_bytes):
+        table, calls = case
+        store = BlobStore(table, envelope_bytes=envelope_bytes)
+        for call in calls:
+            create(store, call)
+        blobs = [blob for call in calls for blob in call]
+        assert records(store) == reference_listing(table, blobs, envelope_bytes)
+        assert len(store) == len(blobs)
+        assert store.latest == max((created_at for _, _, created_at in blobs), default=0)
+        for first, end, created_at in blobs:
+            for mid in range(first, end):
+                assert table.t3[mid] == (UNSET if table.dropped[mid] else created_at)
+
+    @given(partitioned_calls(), st.data())
+    def test_a_call_that_breaks_the_partition_raises(self, case, data):
+        table, calls = case
+        k = data.draw(st.integers(0, max(0, len(calls) - 1)))
+        call = calls[k] if calls else []
+        kinds = ["again"] * (k > 0) + ["empty"] * bool(call) + ["gap", "reversed"] * (len(call) > 1)
+        if not kinds:
+            return
+        store = BlobStore(table)
+        for done in calls[:k]:
+            create(store, done)
+        before = records(store), table.t3.tolist()
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "again":  # repeats the previous call
+            bad, error = calls[k - 1], ValueError
+        elif kind == "empty":  # its first blob holds no id
+            bad, error = [(call[0][0], call[0][0], call[0][2])] + call[1:], ValueError
+        elif kind == "gap":  # leaves its first blob's ids out
+            bad, error = call[1:], IncompleteRecord
+        else:
+            bad, error = call[::-1], ValueError
+        with pytest.raises(error):
+            create(store, bad)
+        assert (records(store), table.t3.tolist()) == before
