@@ -174,6 +174,21 @@ class TestSkewNeutrality:
         assert [r.id for r in skewed.rows] == [r.id for r in base.rows]
 
 
+class TestLastItemIsNotSpecial:
+    @pytest.mark.parametrize("items", [1, 1023, 1024])
+    @pytest.mark.parametrize("fixture, columns", [
+        ("greengrass-image", ("c_edge", "t1", "t2", "t3", "payload", "dropped")),
+        ("batch-window-60", ("c_edge", "t1", "t2", "payload", "dropped")),  # the last batch may grow
+        ("aws-cloud-image", ("c_edge", "t1", "t2", "t3", "payload", "dropped")),
+    ])
+    def test_run_is_a_prefix_of_a_longer_run(self, fixture, columns, items):
+        config = load_fixture(f"scenarios/{fixture}")
+        short, longer = (run_scenario(replace(config, workload=replace(config.workload, items=n)))
+                         for n in (items, items + 1))
+        for name in columns:
+            assert (short.table.column(name) == longer.table.column(name)[:items]).all(), name
+
+
 class TestCalibration:
     @pytest.mark.parametrize("name,e2e_s", [
         ("greengrass-audio", 5.36),
