@@ -42,23 +42,27 @@ def time_cloud_item(
     upload_start: int,
     input_bytes: np.ndarray,
     rng: SeededRng,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    last: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int | None]:
     """Draw the upload/trigger/exec/write decomposition of a block of uploads, back to back.
 
     Returns ``(start, t2, t3, next_start)``: each upload's start, its
     completion (the trigger instant) and its result-write time as int64
-    arrays, and the time the upload after the block starts. The first
-    upload starts at ``upload_start``. Per upload the stream draws
-    propagation, trigger overhead, execution, result write, then the gap
-    to the next upload; the next upload starts a gap after this one's T2.
-    T3 follows T2 by the trigger overhead, execution and result write.
+    arrays, and the time the upload after the block starts (None when
+    ``last``, the block that ends the run). The first upload starts at
+    ``upload_start``. Per upload the stream draws propagation, trigger
+    overhead, execution, result write, then the gap to the next upload
+    (none after the run's last); the next upload starts a gap after this
+    one's T2. T3 follows T2 by the trigger overhead, execution and result
+    write.
     """
     dists = [link.propagation_ms, profile.trigger_overhead_ms, profile.exec_ms, profile.result_write_ms,
              profile.inter_upload_gap_s]
-    rows = sample_rows(rng, dists, len(input_bytes))
+    rows = sample_rows(rng, dists, len(input_bytes), omit_last=1 if last else 0)
     upload, trigger, exec_ms, write = (to_ms(rows[:, k]) for k in range(4))
     upload += link.serialization_ms(input_bytes + link.per_message_overhead_bytes)
     gaps = to_ms(rows[:, 4] * 1000)
     steps = upload + gaps
     t2 = upload_start + np.cumsum(steps) - gaps
-    return t2 - upload, t2, t2 + trigger + exec_ms + write, int(t2[-1] + gaps[-1])
+    next_start = None if last else int(t2[-1] + gaps[-1])
+    return t2 - upload, t2, t2 + trigger + exec_ms + write, next_start

@@ -32,17 +32,20 @@ class InvalidDistribution(SimulationError, ValueError):
     """Raised for malformed distribution parameters."""
 
 
-def to_ms(value: np.ndarray) -> np.ndarray:
-    """Round a float64 array of milliseconds half-to-even to int64, clamped at zero.
+def to_ms(value):
+    """Round a millisecond quantity half-to-even and clamp at zero.
 
-    A value that rounds to 2**63 or more, which int64 cannot hold, raises
-    SimulationError.
+    A float64 array is rounded element by element to an int64 array, with
+    the same results as the scalar form; a value that rounds to 2**63 or
+    more, which int64 cannot hold, raises SimulationError.
     """
-    rounded = np.rint(value)
-    top = float(rounded.max()) if rounded.size else 0.0
-    if top >= 2.0 ** 63:
-        raise SimulationError(f"drawn quantity {top!r} does not fit in int64")
-    return np.maximum(rounded, 0).astype(np.int64)
+    if isinstance(value, np.ndarray):
+        rounded = np.rint(value)
+        top = float(rounded.max()) if rounded.size else 0.0
+        if top >= 2.0 ** 63:
+            raise SimulationError(f"drawn quantity {top!r} does not fit in int64")
+        return np.maximum(rounded, 0).astype(np.int64)
+    return max(0, round(value))
 
 
 class Clock:
@@ -194,7 +197,7 @@ def empirical(values) -> Distribution:
     return Distribution("empirical", (values,))
 
 
-def sample_rows(rng: SeededRng, dists, n: int) -> np.ndarray:
+def sample_rows(rng: SeededRng, dists, n: int, omit_last: int = 0) -> np.ndarray:
     """``n`` rows of one sample of each of ``dists``, as a float64 array of shape (n, len(dists)).
 
     The stream advances exactly as ``n`` rounds of ``[d.sample(rng) for d
@@ -202,8 +205,13 @@ def sample_rows(rng: SeededRng, dists, n: int) -> np.ndarray:
     When every kind is constant or uniform the rows come from one block of
     ``random(k)`` doubles; normal and empirical kinds take a variable
     number of the generator's outputs, so such rows are drawn one sample
-    at a time.
+    at a time. The last row draws none of the last ``omit_last``
+    distributions, whose cells read 0 (a run's last item draws no gap).
     """
+    if omit_last and n:
+        head = sample_rows(rng, dists, n - 1)
+        last = sample_rows(rng, dists[:len(dists) - omit_last], 1)
+        return np.concatenate([head, np.pad(last, ((0, 0), (0, omit_last)))])
     if not n:
         return np.empty((0, len(dists)))
     if not all(d.kind in ("constant", "uniform") for d in dists):

@@ -1,10 +1,8 @@
-"""Scenario orchestration: one chain of block events for both pipelines and both clocks.
+"""Scenario orchestration: one edge driver and one cloud driver for both clocks.
 
-Each pipeline's block step wires the workload, link, hub (or cloud
-function) and blob store together; one chain of events on an
-``EventLoop`` runs the steps, one event per block of message ids, and
-only the chain knows which block is the last.
-A block event takes each stream's draws for the whole
+The drivers wire the workload, link, hub (or cloud function) and blob
+store together over one ``EventLoop``, which runs one event per block of
+message ids. A block event takes each stream's draws for the whole
 block as arrays, in the order per-message draws would take them, and
 fills the block's rows of the RunTable by array arithmetic: a cumulative
 sum for the device timeline, a running maximum for FIFO arrivals, vector
@@ -88,30 +86,22 @@ def run_scenario(config: ScenarioConfig, persist_blobs: str | Path | None = None
 
 def start_run(config: ScenarioConfig, loop: EventLoop, seed: int,
               persist_blobs: str | Path | None, block: int) -> Run:
-    """Set up a run and schedule its chain of blocks of at most ``block`` items on ``loop``.
+    """Set up a run and schedule its first block of at most ``block`` items on ``loop``.
 
-    Each block event runs the pipeline's step, which computes its items'
-    whole pipeline with array draws and array arithmetic (device compute
-    and sends, link, hub or cloud function, blob store) and returns the
-    next block's start, where the event schedules the next block. The
-    last block's step returns the run's latest modeled time instead, and
-    its event schedules one more event there, which sets the run's
-    duration. The loop's clock has ``now``, ``advance``, ``edge_stamp`` and ``compute``.
+    Each block event computes its items' whole pipeline with array
+    draws and array arithmetic (device compute and sends, link, hub or
+    cloud function, blob store) and schedules the next block at its
+    first item's start. The last block schedules one more event, at the
+    run's latest modeled time, which sets the run's duration. The
+    loop's clock has ``now``, ``advance``, ``edge_stamp`` and ``compute``.
     """
     root = SeededRng(seed)
     link = Link(config.link, ByteLedger(), root.substream("link"))
     table = RunTable(config.workload.items)
     store = BlobStore(table, config.route, config.blob_envelope_bytes, persist_blobs)
     run = Run(config, root, link, table, store)
-    step = (_edge_step if config.pipeline == "edge" else _cloud_step)(run, loop.clock)
-    items = config.workload.items
-
-    def run_block(first):
-        end = min(first + block, items)
-        last = end == items
-        loop.schedule(step(first, end, last), (lambda: None) if last else (lambda: run_block(end)))
-
-    loop.schedule(round(config.workload.warmup_delay_s * 1000), lambda: run_block(0))
+    drive = _drive_edge if config.pipeline == "edge" else _drive_cloud
+    drive(run, loop, block)
     return run
 
 
@@ -140,18 +130,19 @@ def finish_run(run: Run, duration_ms: int, resources: dict | None) -> RunResult:
     return RunResult(report=report, table=run.table, store=run.store)
 
 
-def _edge_step(run: Run, clock):
-    config = run.config
+def _drive_edge(run: Run, loop: EventLoop, block: int) -> None:
+    clock = loop.clock
+    spec = run.config.workload
     wl_rng = run.root.substream("workload")
     link, table, store = run.link, run.table, run.store
     persist = store.persist_dir is not None
-    hub = Hub(config.hub, run.root.substream("hub"), table, store.create_blob)
+    hub = Hub(run.config.hub, run.root.substream("hub"), table, store.create_blob)
 
-    def step(first, end, last):
-        rows = slice(first, end)
-        c_edge, t1, payload, bodies, next_start = run_item(config.workload, first, end - first, clock,
-                                                             wl_rng, persist)
-        table.started = end
+    def start_block(first):
+        count = min(block, spec.items - first)
+        c_edge, t1, payload, bodies, next_start = run_item(spec, first, count, clock, wl_rng, persist)
+        rows = slice(first, first + count)
+        table.started = first + count
         table.c_edge[rows], table.t1[rows], table.payload[rows] = c_edge, t1, payload
         send = t1 - clock.skew_edge_ms  # true instants: the edge stamps without skew
         kept, arrival = link.deliver(DEVICE, payload, send)
@@ -161,16 +152,18 @@ def _edge_step(run: Run, clock):
             for k in delivered.tolist():
                 store.bodies[first + k] = bodies[k]
         hub.ingest(first + delivered, arrival)
-        if not last:
-            return next_start
-        latest = max(int(send[-1]), hub.latest, store.latest)  # the run's latest event so far
-        hub.close(latest)
-        return max(latest, store.latest)
+        if next_start is None:
+            end = max(int(send[-1]), hub.latest, store.latest)  # the run's latest event so far
+            hub.close(end)
+            loop.schedule(max(end, store.latest), lambda: None)
+            return
+        loop.schedule(next_start, lambda: start_block(first + count))
 
-    return step
+    loop.schedule(round(spec.warmup_delay_s * 1000), lambda: start_block(0))
 
 
-def _cloud_step(run: Run, clock):
+def _drive_cloud(run: Run, loop: EventLoop, block: int) -> None:
+    clock = loop.clock
     config = run.config
     spec = config.workload
     wl_rng = run.root.substream("workload")
@@ -178,22 +171,27 @@ def _cloud_step(run: Run, clock):
     ledger, table, store = run.link.ledger, run.table, run.store
     overhead = config.link.per_message_overhead_bytes
 
-    def step(first, end, last):
-        rows = slice(first, end)
+    def start_block(first):
+        count = min(block, spec.items - first)
+        last = first + count == spec.items
         input_bytes, result_bytes = to_ms(
-            sample_rows(wl_rng, (spec.input_bytes_per_item, spec.result_payload_bytes), end - first)).T
+            sample_rows(wl_rng, (spec.input_bytes_per_item, spec.result_payload_bytes), count)).T
         start, t2, t3, next_start = time_cloud_item(config.cloud_function, config.link, clock.now,
-                                                    input_bytes, cloud_rng)
-        table.started = end
+                                                    input_bytes, cloud_rng, last)
+        rows = slice(first, first + count)
+        table.started = first + count
         table.c_edge[rows], table.t1[rows], table.t2[rows] = 0, clock.edge_stamp(start), t2
         table.payload[rows] = result_bytes
-        ledger.record(DEVICE, int(input_bytes.sum()), overhead * (end - first))
+        ledger.record(DEVICE, int(input_bytes.sum()), overhead * count)
         ledger.record(CLOUD_FUNCTION_SOURCE, int(result_bytes.sum()), 0)
-        ids = np.arange(first, end)
+        ids = np.arange(first, first + count)
         store.create_blob(ids, ids + 1, t3)
-        return store.latest if last else next_start
+        if last:
+            loop.schedule(store.latest, lambda: None)
+            return
+        loop.schedule(next_start, lambda: start_block(first + count))
 
-    return step
+    loop.schedule(round(spec.warmup_delay_s * 1000), lambda: start_block(0))
 
 
 def _replay_resources(config: ScenarioConfig, root: SeededRng, duration_ms: int) -> dict | None:

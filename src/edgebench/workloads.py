@@ -266,27 +266,29 @@ def run_item(
     clock,
     rng: SeededRng,
     texts: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str] | None, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str] | None, int | None]:
     """Process items ``[first, first + count)`` back to back from the current clock time.
 
     Returns ``(c_edge, t1, payload, bodies, next_start)``: each item's
     edge compute time (ms), send timestamp and result size as int64
     arrays, the items' result texts (or None), and the time the item
-    after the block starts.
+    after the block starts (None after the run's last item).
 
     Per item the workload stream draws compute time, input size (unused
     at the edge, drawn to keep the stream's order), payload size or
-    scalar readings, then the gap to the next item; a scalar item's gap
-    is its interval. Items run sequentially: t1 = edge_stamp(start + c_edge), and
-    the next item starts a gap after that. The drawn compute time is
-    spent through ``clock.compute`` (a virtual clock takes it as drawn, a
-    wall clock busy-waits it). A spec with an ``item_hook`` (live mode,
-    one item per block) does the item's real work instead, and its
-    result text is the body. A modeled payload has only a size; a scalar
-    item's body is its readings' JSON, returned only when ``texts`` is set.
+    scalar readings, then the gap to the next item; the run's last item
+    draws no gap, and a scalar item's gap is its interval. Items run
+    sequentially: t1 = edge_stamp(start + c_edge), and the next item
+    starts a gap after that. The drawn compute time is spent through
+    ``clock.compute`` (a virtual clock takes it as drawn, a wall clock
+    busy-waits it). A spec with an ``item_hook`` (live mode, one item per
+    block) does the item's real work instead, and its result text is the
+    body. A modeled payload has only a size; a scalar item's body is its
+    readings' JSON, returned only when ``texts`` is set.
     """
     if count < 1 or first + count > spec.items:
         raise ExhaustedWorkload(f"items [{first}, {first + count}) out of range (items={spec.items})")
+    last = first + count == spec.items
     scalar = spec.kind == "scalar"
     if spec.item_hook is not None:
         result = []
@@ -295,7 +297,8 @@ def run_item(
     else:
         result = [spec.result_payload_bytes]
     dists = [spec.compute_ms, spec.input_bytes_per_item, *result]
-    rows = sample_rows(rng, dists if scalar else dists + [spec.inter_item_gap_ms], count)
+    gap = [] if scalar else [spec.inter_item_gap_ms]
+    rows = sample_rows(rng, dists + gap, count, omit_last=len(gap) if last else 0)
 
     start = clock.now
     bodies = None
@@ -315,4 +318,5 @@ def run_item(
     gaps = np.full(count, round(spec.scalar_interval_s * 1000)) if scalar else to_ms(rows[:, -1])
     steps = c_edge + gaps
     send = start + np.cumsum(steps) - gaps
-    return c_edge, clock.edge_stamp(send), payload, bodies, int(send[-1] + gaps[-1])
+    next_start = None if last else int(send[-1] + gaps[-1])
+    return c_edge, clock.edge_stamp(send), payload, bodies, next_start

