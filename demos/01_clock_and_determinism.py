@@ -12,11 +12,17 @@ from edgebench import Clock, EventLoop, SeededRng, constant, normal, uniform
 
 clock = Clock()
 loop = EventLoop(clock)
-loop.schedule(250, lambda: print(f"  event at t={clock.now} ms"))
-loop.schedule(100, lambda: print(f"  event at t={clock.now} ms"))
-loop.schedule(400, lambda: print(f"  event at t={clock.now} ms"))
 
-print("processing three events scheduled out of order:")
+
+def event(times):
+    """Print the clock, then schedule the next event of the chain, as a run's block events do."""
+    print(f"  event at t={clock.now} ms")
+    if times:
+        loop.schedule(times[0], lambda: event(times[1:]))
+
+
+print("processing a chain of three events, each scheduling the next:")
+loop.schedule(100, lambda: event([250, 400]))
 loop.run()
 print(f"clock ends at {clock.now} ms\n")
 

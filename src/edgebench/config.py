@@ -20,7 +20,7 @@ from pathlib import Path
 import yaml
 
 from .cloud import CloudFunctionProfile
-from .core import Distribution, SimulationError, constant, empirical, normal, uniform
+from .core import MAX_CONFIG_MS, Distribution, SimulationError, constant, empirical, normal, uniform
 from .cost import RateCard, UsageScenario
 from .hub import HubPolicy
 from .network import LinkModel
@@ -285,6 +285,8 @@ def _build_config(doc: dict) -> ScenarioConfig:
         flat.update(_read_section({key: types[key] for key in keys}, section, doc.get(section) or {}))
     if flat.get("blob_envelope_bytes", 0) < 0:
         raise ParseError(f"storage.blob_envelope_bytes must be >= 0, got {flat['blob_envelope_bytes']}")
+    if abs(flat.get("skew_edge_ms", 0)) > MAX_CONFIG_MS:
+        raise ParseError(f"clock.skew_edge_ms must be within 2**53 ms of 0, got {flat['skew_edge_ms']}")
     text = {key: _convert(str, doc[key], key)
             for key in ("platform_profile", "label", "output_dir") if doc.get(key) is not None}
     platform = text.get("platform_profile", "unnamed")

@@ -8,7 +8,6 @@ timestamps. Distributions are sampled a block of rows at a time
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -18,6 +17,7 @@ import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
 MS_PER_S = 1000
+MAX_CONFIG_MS = 2 ** 53  # the longest time a config may give; integer ms up to it are exact as doubles
 
 
 class SimulationError(Exception):
@@ -32,33 +32,26 @@ class InvalidDistribution(SimulationError, ValueError):
     """Raised for malformed distribution parameters."""
 
 
-def to_ms(value):
-    """Round a millisecond quantity half-to-even and clamp at zero.
+def to_ms(value: np.ndarray) -> np.ndarray:
+    """Round a float64 array of milliseconds half-to-even to int64, clamped at zero.
 
-    A float64 array is rounded element by element to an int64 array, with
-    the same results as the scalar form; a value that rounds to 2**63 or
-    more, which int64 cannot hold, raises SimulationError.
+    A value that rounds to 2**63 or more, which int64 cannot hold, raises
+    SimulationError.
     """
-    if isinstance(value, np.ndarray):
-        rounded = np.rint(value)
-        top = float(rounded.max()) if rounded.size else 0.0
-        if top >= 2.0 ** 63:
-            raise SimulationError(f"drawn quantity {top!r} does not fit in int64")
-        return np.maximum(rounded, 0).astype(np.int64)
-    return max(0, round(value))
+    rounded = np.rint(value)
+    top = float(rounded.max()) if rounded.size else 0.0
+    if top >= 2.0 ** 63:
+        raise SimulationError(f"drawn quantity {top!r} does not fit in int64")
+    return np.maximum(rounded, 0).astype(np.int64)
 
 
 class Clock:
     """Virtual pipeline clock.
 
     Time advances only through :meth:`advance` and never decreases.
-    ``skew_edge_ms`` models imperfect clock sync: it offsets timestamps
-    written by edge-side components (T1) and nothing else, so event
-    ordering and byte accounting are skew-invariant.
     """
 
-    def __init__(self, skew_edge_ms: int = 0):
-        self.skew_edge_ms = int(skew_edge_ms)
+    def __init__(self):
         self.now = 0
 
     def advance(self, event_time: int) -> None:
@@ -68,10 +61,6 @@ class Clock:
                 f"event at {event_time} ms is before current time {self.now} ms"
             )
         self.now = event_time
-
-    def edge_stamp(self, true_time_ms: int) -> int:
-        """Timestamp as written by an edge device (true instant plus skew)."""
-        return true_time_ms + self.skew_edge_ms
 
     def compute(self, c_edge_ms: np.ndarray) -> np.ndarray:
         """Edge compute of a block's items, back to back from now; returns the ms each took.
@@ -197,7 +186,7 @@ def empirical(values) -> Distribution:
     return Distribution("empirical", (values,))
 
 
-def sample_rows(rng: SeededRng, dists, n: int, omit_last: int = 0) -> np.ndarray:
+def sample_rows(rng: SeededRng, dists, n: int) -> np.ndarray:
     """``n`` rows of one sample of each of ``dists``, as a float64 array of shape (n, len(dists)).
 
     The stream advances exactly as ``n`` rounds of ``[d.sample(rng) for d
@@ -205,13 +194,8 @@ def sample_rows(rng: SeededRng, dists, n: int, omit_last: int = 0) -> np.ndarray
     When every kind is constant or uniform the rows come from one block of
     ``random(k)`` doubles; normal and empirical kinds take a variable
     number of the generator's outputs, so such rows are drawn one sample
-    at a time. The last row draws none of the last ``omit_last``
-    distributions, whose cells read 0 (a run's last item draws no gap).
+    at a time.
     """
-    if omit_last and n:
-        head = sample_rows(rng, dists, n - 1)
-        last = sample_rows(rng, dists[:len(dists) - omit_last], 1)
-        return np.concatenate([head, np.pad(last, ((0, 0), (0, omit_last)))])
     if not n:
         return np.empty((0, len(dists)))
     if not all(d.kind in ("constant", "uniform") for d in dists):
@@ -229,33 +213,34 @@ def sample_rows(rng: SeededRng, dists, n: int, omit_last: int = 0) -> np.ndarray
 
 
 class EventLoop:
-    """Minimal discrete-event loop over a clock.
+    """A chain of events over a clock: each event may schedule the next one.
 
-    Events run in time order, and events at equal times in the order
-    they were scheduled. The loop moves its clock with
-    ``clock.advance(at_ms)`` before each event: a virtual clock jumps
-    there, a wall clock sleeps until then. ``now`` is the time of the
-    latest event the loop has run (at first, the clock's time), which may
-    trail a wall clock.
+    The loop holds at most one pending event; scheduling a second raises
+    SimulationError. The loop moves its clock with ``clock.advance(at_ms)``
+    before the event: a virtual clock jumps there, a wall clock sleeps
+    until then. ``now`` is the time of the latest event the loop has run
+    (at first, the clock's time), which may trail a wall clock; no event
+    is scheduled before it.
     """
 
     def __init__(self, clock):
         self.clock = clock
         self.now = clock.now
-        self._heap: list = []
-        self._seq = 0
+        self._pending = None
 
     def schedule(self, at_ms: int, fn) -> None:
         if at_ms < self.now:
             raise TimeRegression(f"cannot schedule event at {at_ms} ms, before the event at {self.now} ms")
-        heapq.heappush(self._heap, (at_ms, self._seq, fn))
-        self._seq += 1
+        if self._pending is not None:
+            raise SimulationError(f"cannot schedule event at {at_ms} ms: the event at "
+                                  f"{self._pending[0]} ms is still pending")
+        self._pending = (at_ms, fn)
 
     def run(self) -> int:
-        """Process events until the queue drains; returns the clock's time then."""
-        heap = self._heap
-        while heap:
-            at_ms, _seq, fn = heapq.heappop(heap)
+        """Run the chain until no event is pending; returns the clock's time then."""
+        while self._pending is not None:
+            at_ms, fn = self._pending
+            self._pending = None
             self.now = at_ms
             self.clock.advance(at_ms)
             fn()

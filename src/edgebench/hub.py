@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Distribution, SeededRng, constant, sample_rows, to_ms
+from .core import MAX_CONFIG_MS, Distribution, SeededRng, constant, sample_rows, to_ms
 
 PLATFORM_MIN_WINDOW_S = 60
 PLATFORM_MIN_CHUNK_BYTES = 10 * 1000 * 1000
@@ -45,6 +45,8 @@ class HubPolicy:
             if self.window_s is not None and round(self.window_s * 1000) < 1:
                 raise ValueError(f"window_s must be at least 1 ms once rounded to whole ms, "
                                  f"got {self.window_s}")
+            if self.window_s is not None and round(self.window_s * 1000) > MAX_CONFIG_MS:
+                raise ValueError(f"window_s must be at most 2**53 ms, got {self.window_s}")
             if self.chunk_bytes is not None and self.chunk_bytes <= 0:
                 raise ValueError("chunk_bytes must be positive")
             if self.holdback_s < 0:

@@ -35,8 +35,7 @@ from .runner import RunResult, finish_run, start_run
 class _WallClock:
     """Milliseconds since the run began, with the interface of ``core.Clock``."""
 
-    def __init__(self, skew_edge_ms: int):
-        self.skew_edge_ms = int(skew_edge_ms)
+    def __init__(self):
         self._base = time.monotonic_ns()
 
     @property
@@ -48,9 +47,6 @@ class _WallClock:
         delay_ns = self._base + event_time * 1_000_000 - time.monotonic_ns()
         if delay_ns > 0:
             time.sleep(delay_ns / 1e9)
-
-    def edge_stamp(self, true_time_ms: int) -> int:
-        return true_time_ms + self.skew_edge_ms
 
     def compute(self, c_edge_ms: np.ndarray) -> np.ndarray:
         """Burn CPU for a one-item block's ``c_edge_ms``; returns the elapsed ms, as the same shape."""
@@ -97,7 +93,7 @@ class _ResourceSampler(threading.Thread):
 
 def run_live(config: ScenarioConfig, persist_blobs: str | Path | None = None) -> RunResult:
     """Execute one scenario against the wall clock; a failure anywhere ends the run at once."""
-    loop = EventLoop(_WallClock(config.skew_edge_ms))
+    loop = EventLoop(_WallClock())
     seed = config.seed if config.seed is not None else time.time_ns() & (2**63 - 1)
     run = start_run(config, loop, seed, persist_blobs, block=1)
     sampler = _ResourceSampler()

@@ -1,14 +1,16 @@
-"""Scenario orchestration: one edge driver and one cloud driver for both clocks.
+"""Scenario orchestration: one chain of block events for both pipelines and both clocks.
 
-The drivers wire the workload, link, hub (or cloud function) and blob
-store together over one ``EventLoop``, which runs one event per block of
-message ids. A block event takes each stream's draws for the whole
-block as arrays, in the order per-message draws would take them, and
-fills the block's rows of the RunTable by array arithmetic: a cumulative
-sum for the device timeline, a running maximum for FIFO arrivals, vector
-window boundaries, and one sequential pass for chunk triggers. The hub
-or cloud function creates each blob as soon as it decides it, which
-stamps T3; the blob store numbers blobs only when they are listed.
+Each pipeline's block step wires the workload, link, hub (or cloud
+function) and blob store together; one chain of events on an
+``EventLoop`` runs the steps, one event per block of message ids, and
+only the chain knows which block is the last. A block event takes each
+stream's draws for the whole block as arrays, in the order per-message
+draws would take them, and fills the block's rows of the RunTable by
+array arithmetic: a cumulative sum for the device timeline, a running
+maximum for FIFO arrivals, vector window boundaries, and one sequential
+pass for chunk triggers. The hub or cloud function creates each blob
+as soon as it decides it, which stamps T3; the blob store numbers
+blobs only when they are listed.
 Nothing is scheduled per message. Virtual mode runs the loop on
 ``Clock`` with blocks of BLOCK ids; live mode (``live.py``) runs the
 same code on a wall clock with one-item blocks, since an item cannot
@@ -58,7 +60,7 @@ class RunResult:
 
 @dataclass
 class Run:
-    """What a run's drivers write and :func:`finish_run` reads."""
+    """What a run's block steps write and :func:`finish_run` reads."""
 
     config: ScenarioConfig
     root: SeededRng
@@ -78,7 +80,7 @@ def run_scenario(config: ScenarioConfig, persist_blobs: str | Path | None = None
     if config.workload.item_hook is not None:
         raise ValueError("workload.item_hook does real work, which needs live mode")
 
-    loop = EventLoop(Clock(skew_edge_ms=config.skew_edge_ms))
+    loop = EventLoop(Clock())
     run = start_run(config, loop, config.seed, persist_blobs, BLOCK)
     duration_ms = loop.run()
     return finish_run(run, duration_ms, _replay_resources(config, run.root, duration_ms))
@@ -86,22 +88,32 @@ def run_scenario(config: ScenarioConfig, persist_blobs: str | Path | None = None
 
 def start_run(config: ScenarioConfig, loop: EventLoop, seed: int,
               persist_blobs: str | Path | None, block: int) -> Run:
-    """Set up a run and schedule its first block of at most ``block`` items on ``loop``.
+    """Set up a run and schedule its chain of blocks of at most ``block`` items on ``loop``.
 
-    Each block event computes its items' whole pipeline with array
-    draws and array arithmetic (device compute and sends, link, hub or
-    cloud function, blob store) and schedules the next block at its
-    first item's start. The last block schedules one more event, at the
-    run's latest modeled time, which sets the run's duration. The
-    loop's clock has ``now``, ``advance``, ``edge_stamp`` and ``compute``.
+    Each block event runs the pipeline's step, which computes its items'
+    whole pipeline with array draws and array arithmetic (device compute
+    and sends, link, hub or cloud function, blob store) and returns the
+    next block's start, where the event schedules the next block. The
+    last block's step returns the run's latest modeled time instead, and
+    its event schedules one more event there, which sets the run's
+    duration. The loop's clock has ``now``, ``advance`` and ``compute``.
+    The steps add the edge clock's skew to T1 and nowhere else, so event
+    order and bytes do not depend on it.
     """
     root = SeededRng(seed)
     link = Link(config.link, ByteLedger(), root.substream("link"))
     table = RunTable(config.workload.items)
     store = BlobStore(table, config.route, config.blob_envelope_bytes, persist_blobs)
     run = Run(config, root, link, table, store)
-    drive = _drive_edge if config.pipeline == "edge" else _drive_cloud
-    drive(run, loop, block)
+    step = (_edge_step if config.pipeline == "edge" else _cloud_step)(run, loop.clock)
+    items = config.workload.items
+
+    def run_block(first):
+        end = min(first + block, items)
+        last = end == items
+        loop.schedule(step(first, end, last), (lambda: None) if last else (lambda: run_block(end)))
+
+    loop.schedule(round(config.workload.warmup_delay_s * 1000), lambda: run_block(0))
     return run
 
 
@@ -130,21 +142,19 @@ def finish_run(run: Run, duration_ms: int, resources: dict | None) -> RunResult:
     return RunResult(report=report, table=run.table, store=run.store)
 
 
-def _drive_edge(run: Run, loop: EventLoop, block: int) -> None:
-    clock = loop.clock
-    spec = run.config.workload
+def _edge_step(run: Run, clock):
+    config = run.config
     wl_rng = run.root.substream("workload")
     link, table, store = run.link, run.table, run.store
     persist = store.persist_dir is not None
-    hub = Hub(run.config.hub, run.root.substream("hub"), table, store.create_blob)
+    hub = Hub(config.hub, run.root.substream("hub"), table, store.create_blob)
 
-    def start_block(first):
-        count = min(block, spec.items - first)
-        c_edge, t1, payload, bodies, next_start = run_item(spec, first, count, clock, wl_rng, persist)
-        rows = slice(first, first + count)
-        table.started = first + count
-        table.c_edge[rows], table.t1[rows], table.payload[rows] = c_edge, t1, payload
-        send = t1 - clock.skew_edge_ms  # true instants: the edge stamps without skew
+    def step(first, end, last):
+        rows = slice(first, end)
+        c_edge, send, payload, bodies, next_start = run_item(config.workload, first, end - first, clock,
+                                                               wl_rng, persist)
+        table.started = end
+        table.c_edge[rows], table.t1[rows], table.payload[rows] = c_edge, send + config.skew_edge_ms, payload
         kept, arrival = link.deliver(DEVICE, payload, send)
         table.dropped[rows] = ~kept
         delivered = np.flatnonzero(kept)
@@ -152,18 +162,16 @@ def _drive_edge(run: Run, loop: EventLoop, block: int) -> None:
             for k in delivered.tolist():
                 store.bodies[first + k] = bodies[k]
         hub.ingest(first + delivered, arrival)
-        if next_start is None:
-            end = max(int(send[-1]), hub.latest, store.latest)  # the run's latest event so far
-            hub.close(end)
-            loop.schedule(max(end, store.latest), lambda: None)
-            return
-        loop.schedule(next_start, lambda: start_block(first + count))
+        if not last:
+            return next_start
+        latest = max(int(send[-1]), hub.latest, store.latest)  # the run's latest event so far
+        hub.close(latest)
+        return max(latest, store.latest)
 
-    loop.schedule(round(spec.warmup_delay_s * 1000), lambda: start_block(0))
+    return step
 
 
-def _drive_cloud(run: Run, loop: EventLoop, block: int) -> None:
-    clock = loop.clock
+def _cloud_step(run: Run, clock):
     config = run.config
     spec = config.workload
     wl_rng = run.root.substream("workload")
@@ -171,27 +179,22 @@ def _drive_cloud(run: Run, loop: EventLoop, block: int) -> None:
     ledger, table, store = run.link.ledger, run.table, run.store
     overhead = config.link.per_message_overhead_bytes
 
-    def start_block(first):
-        count = min(block, spec.items - first)
-        last = first + count == spec.items
+    def step(first, end, last):
+        rows = slice(first, end)
         input_bytes, result_bytes = to_ms(
-            sample_rows(wl_rng, (spec.input_bytes_per_item, spec.result_payload_bytes), count)).T
+            sample_rows(wl_rng, (spec.input_bytes_per_item, spec.result_payload_bytes), end - first)).T
         start, t2, t3, next_start = time_cloud_item(config.cloud_function, config.link, clock.now,
-                                                    input_bytes, cloud_rng, last)
-        rows = slice(first, first + count)
-        table.started = first + count
-        table.c_edge[rows], table.t1[rows], table.t2[rows] = 0, clock.edge_stamp(start), t2
+                                                    input_bytes, cloud_rng)
+        table.started = end
+        table.c_edge[rows], table.t1[rows], table.t2[rows] = 0, start + config.skew_edge_ms, t2
         table.payload[rows] = result_bytes
-        ledger.record(DEVICE, int(input_bytes.sum()), overhead * count)
+        ledger.record(DEVICE, int(input_bytes.sum()), overhead * (end - first))
         ledger.record(CLOUD_FUNCTION_SOURCE, int(result_bytes.sum()), 0)
-        ids = np.arange(first, first + count)
+        ids = np.arange(first, end)
         store.create_blob(ids, ids + 1, t3)
-        if last:
-            loop.schedule(store.latest, lambda: None)
-            return
-        loop.schedule(next_start, lambda: start_block(first + count))
+        return store.latest if last else next_start
 
-    loop.schedule(round(spec.warmup_delay_s * 1000), lambda: start_block(0))
+    return step
 
 
 def _replay_resources(config: ScenarioConfig, root: SeededRng, duration_ms: int) -> dict | None:

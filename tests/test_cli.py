@@ -66,9 +66,15 @@ class TestRun:
         assert code == 2
         assert "bogus" in err
 
-    def test_value_beyond_int64_exits_nonzero(self, capsys, tmp_path):
+    @pytest.mark.parametrize("fixture, overrides", [
+        ("greengrass-image", "workload: {compute_ms: {constant: 1.0e+19}}"),
+        # a one-item run draws its item's gap like any other
+        ("greengrass-image", "workload: {items: 1, inter_item_gap_ms: {constant: 1.0e+19}}"),
+        ("aws-cloud-image", "workload: {items: 1}\ncloud_function: {inter_upload_gap_s: {constant: 1.0e+17}}"),
+    ], ids=["compute", "edge-gap", "cloud-gap"])
+    def test_value_beyond_int64_exits_nonzero(self, capsys, tmp_path, fixture, overrides):
         config = tmp_path / "huge.yaml"
-        config.write_text("extends: scenarios/greengrass-image\nworkload: {compute_ms: {constant: 1.0e+19}}\n")
+        config.write_text(f"extends: scenarios/{fixture}\n{overrides}\n")
         assert run_cli(capsys, "validate", "--config", str(config))[0] == 0
         code, _, err = run_cli(capsys, "run", "--config", str(config), "--out", str(tmp_path / "out"))
         assert code == 2

@@ -121,6 +121,28 @@ hub: {mode: batched, window_s: 0.0006}
 """)
         assert run_scenario(load_config(path)).report.message_count == 3
 
+    @pytest.mark.parametrize("parent, template, at_bound, past, match", [
+        # 2**53 ms and the next double past it; windows tile whole milliseconds
+        ("batch-window-60", "hub: {{window_s: {}}}", "9007199254740.992", "9007199254740.994",
+         r"hub: window_s must be at most 2\*\*53 ms"),
+        ("greengrass-image", "clock: {{skew_edge_ms: {}}}", "9007199254740992", "9007199254740993",
+         r"clock.skew_edge_ms must be within 2\*\*53 ms"),
+        ("greengrass-image", "clock: {{skew_edge_ms: {}}}", "-9007199254740992", "-9007199254740993",
+         r"clock.skew_edge_ms must be within 2\*\*53 ms"),
+        ("greengrass-scalar", "workload: {{scalar_freq_hz: 1, scalar_interval_s: {}}}", "10000", "10001",
+         r"workload: scalar_freq_hz \* scalar_interval_s must be at most 10000 readings"),
+    ], ids=["window", "skew", "negative-skew", "scalar-readings"])
+    def test_value_bounds(self, tmp_path, parent, template, at_bound, past, match):
+        # values past these bounds ended in a traceback, a MemoryError or an int64 wrap
+        path = write_config(tmp_path, f"extends: scenarios/{parent}\nresources: null\n"
+                                      f"{template.format(at_bound)}\n")
+        config = load_config(path)
+        config.workload.items = 2
+        assert run_scenario(config).report.message_count == 2
+        path.write_text(f"extends: scenarios/{parent}\n{template.format(past)}\n")
+        with pytest.raises(ParseError, match=match):
+            load_config(path)
+
     def test_seed_required_in_virtual_mode(self, tmp_path):
         path = write_config(tmp_path, """
 pipeline: edge

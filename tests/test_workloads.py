@@ -24,8 +24,8 @@ from edgebench.workloads import (
 )
 
 
-def make_clock(skew=0):
-    return Clock(skew_edge_ms=skew)
+def make_clock():
+    return Clock()
 
 
 def scalar_spec(freq_hz, interval_s=1, items=1):
@@ -150,12 +150,13 @@ class TestRunItem:
         assert bodies is None
         assert len(synthesize_body(DEVICE, 0, 752).encode()) == 752
 
-    def test_t1_is_now_plus_compute_plus_skew(self):
-        clock = make_clock(skew=25)
+    def test_send_is_now_plus_compute(self):
+        # true instants: the runner adds the edge clock's skew to T1
+        clock = make_clock()
         clock.advance(1000)
         spec = self.audio_spec(4770)
-        _, t1, _, _, _ = run_item(spec, 0, 1, clock, SeededRng(0))
-        assert t1.tolist() == [1000 + 4770 + 25]
+        _, send, _, _, _ = run_item(spec, 0, 1, clock, SeededRng(0))
+        assert send.tolist() == [1000 + 4770]
 
     def test_exhausted(self):
         spec = self.audio_spec(10)
@@ -165,13 +166,13 @@ class TestRunItem:
             run_item(spec, 100, 5, make_clock(), SeededRng(0))
 
     def test_sequential_contract(self):
-        # message k's t1 >= message (k-1)'s t1 + c_edge(k): no overlap
+        # message k's send >= message (k-1)'s send + c_edge(k): no overlap
         spec = WorkloadSpec(kind="custom", items=50, compute_ms=uniform(0, 100),
                             inter_item_gap_ms=uniform(0, 30),
                             result_payload_bytes=constant(10))
-        c_edge, t1, _, _, next_start = run_item(spec, 0, 50, make_clock(), SeededRng(5))
-        assert all(t1[k] >= t1[k - 1] + c_edge[k] for k in range(1, 50))
-        assert next_start is None  # the run's last item draws no gap
+        c_edge, send, _, _, next_start = run_item(spec, 0, 50, make_clock(), SeededRng(5))
+        assert all(send[k] >= send[k - 1] + c_edge[k] for k in range(1, 50))
+        assert type(next_start) is int and 0 <= next_start - send[-1] <= 30  # the last item draws its gap too
 
     def test_block_equals_items_one_at_a_time(self):
         spec = WorkloadSpec(kind="custom", items=7, compute_ms=normal(40, 30),
@@ -181,16 +182,16 @@ class TestRunItem:
         clock, rng, single = make_clock(), SeededRng(8), []
         for idx in range(7):
             single.append(run_item(spec, idx, 1, clock, rng))
-            if single[-1][4] is not None:
-                clock.advance(single[-1][4])
+            clock.advance(single[-1][4])
         for k in range(3):
             assert whole[k].tolist() == [int(s[k][0]) for s in single]
+        assert whole[4] == single[-1][4]
 
     def test_scalar_cadence_follows_interval(self):
         spec = WorkloadSpec(kind="scalar", items=5, compute_ms=constant(7), scalar_freq_hz=4,
                             scalar_interval_s=2.5)
-        _, t1, _, _, next_start = run_item(spec, 0, 3, make_clock(), SeededRng(0))
-        assert t1.tolist() == [7, 7 + 2507, 7 + 2 * 2507]
+        _, send, _, _, next_start = run_item(spec, 0, 3, make_clock(), SeededRng(0))
+        assert send.tolist() == [7, 7 + 2507, 7 + 2 * 2507]
         assert next_start == 3 * 2507
 
 
