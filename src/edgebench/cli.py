@@ -9,13 +9,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
 from .charts import emit_charts
 from .config import (
     ScenarioConfig,
-    fixture_path,
+    config_file,
     list_fixtures,
     load_config,
     load_rate_card,
@@ -34,25 +35,15 @@ from .metrics import report_from_json
 from .runner import run_scenario, write_artifacts
 
 
-def _resolve_config_path(value: str) -> Path:
-    path = Path(value)
-    if path.is_file():
-        return path
-    return fixture_path(value)
-
-
 def _default_out() -> str:
     return os.environ.get("EDGEBENCH_OUT", "out")
 
 
 def _load_scenario(args) -> ScenarioConfig:
     """The config with --seed and --mode applied, validated like a config file."""
-    doc = load_config(_resolve_config_path(args.config)).to_dict()
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.mode:
-        doc["mode"] = args.mode
-    return ScenarioConfig.from_dict(doc)
+    config = load_config(config_file(args.config))
+    overrides = {"seed": args.seed, "mode": args.mode}
+    return replace(config, **{key: value for key, value in overrides.items() if value is not None})
 
 
 def cmd_run(args) -> int:
@@ -114,7 +105,7 @@ def cmd_cost(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        config = load_config(_resolve_config_path(args.config))
+        config = load_config(config_file(args.config))
     except SimulationError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from decimal import Decimal
 from importlib import resources as importlib_resources
 from pathlib import Path
@@ -107,17 +107,12 @@ def _resolve_extends(path: Path, _seen: tuple = ()) -> dict:
 
 # --- schema ------------------------------------------------------------
 #
-# A section's keys, defaults and types are the fields of its dataclass;
-# a field with metadata {"config": False} is not a config key.
+# A section's keys, defaults and types are the fields of its dataclass,
+# the top level's those of ScenarioConfig; a field whose type is a
+# dataclass is a nested section, a field without a default is a required
+# key, and a field with metadata {"config": False} is not a config key.
 
 _DIST_KINDS = ("constant", "uniform", "normal", "empirical")
-
-_SCALARS = ("pipeline", "platform_profile", "label", "mode", "seed", "output_dir")
-_SECTIONS = {"workload": WorkloadSpec, "link": LinkModel, "hub": HubPolicy,
-             "cloud_function": CloudFunctionProfile, "resources": ResourceProfile}
-# these sections hold flat fields of ScenarioConfig
-_FLAT_SECTIONS = {"clock": ("skew_edge_ms",), "storage": ("blob_envelope_bytes", "route")}
-_TOP_LEVEL_KEYS = {*_SCALARS, *_SECTIONS, *_FLAT_SECTIONS}
 _EXPECTED = {bool: "true or false", str: "a string", int: "an integer", float: "a finite number",
              Decimal: "a finite number"}
 
@@ -161,13 +156,15 @@ def parse_distribution(value, where: str) -> Distribution:
 def _convert(tp, value, where: str):
     """``value`` as a config field of type ``tp``; ParseError naming ``where`` if it is none.
 
-    Booleans and strings are taken as they are, a boolean is not a
-    number, an integer field refuses a fractional value, and a number
-    must be finite. Decimals are read from the value's text, so ``0.1``
-    stays exact.
+    A distribution or a section is parsed as one. Booleans and strings
+    are taken as they are, a boolean is not a number, an integer field
+    refuses a fractional value, and a number must be finite. Decimals
+    are read from the value's text, so ``0.1`` stays exact.
     """
     if tp is Distribution:
         return parse_distribution(value, where)
+    if is_dataclass(tp):
+        return _build_section(tp, value, where)
     if tp is bool or tp is str:
         if isinstance(value, tp):
             return value
@@ -183,26 +180,26 @@ def _convert(tp, value, where: str):
     raise ParseError(f"{where}: expected {_EXPECTED[tp]}, got {value!r}")
 
 
-def _read_section(types: dict, section: str, mapping) -> dict:
-    """The converted values of a section whose keys and types are ``types``.
+def _build_section(cls, mapping, section: str = ""):
+    """An instance of the dataclass ``cls`` from its config mapping.
 
-    Absent and null keys are left out, so they keep their defaults.
+    Absent and null keys keep their defaults; a key without a default is
+    required. ``section`` names the mapping in errors ("" at the top level).
     """
     if not isinstance(mapping, dict):
         raise ParseError(f"{section} must be a mapping, got {mapping!r}")
+    prefix = f"{section}." if section else ""
+    types = _field_types(cls)
     values = {}
     for key, value in mapping.items():
-        where = f"{section}.{key}"
+        where = f"{prefix}{key}"
         if key not in types:
             raise UnknownKey(f"unknown config key: {where!r}")
         if value is not None:
             values[key] = _convert(types[key], value, where)
-    return values
-
-
-def _build_section(cls, section: str, mapping):
-    """An instance of the dataclass ``cls`` from its config section."""
-    values = _read_section(_field_types(cls), section, mapping)
+    for f in fields(cls):
+        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+            raise ParseError(f"{prefix}{f.name} is required")
     try:
         return cls(**values)
     except (ValueError, ArithmeticError) as exc:
@@ -214,92 +211,87 @@ def _section_dict(obj) -> dict | None:
     if obj is None:
         return None
     values = {name: getattr(obj, name) for name in _field_types(type(obj))}
-    return {k: v.to_spec() if isinstance(v, Distribution) else v for k, v in values.items()}
+    return {k: v.to_spec() if isinstance(v, Distribution) else _section_dict(v) if is_dataclass(v) else v
+            for k, v in values.items()}
 
 
-@dataclass
-class ScenarioConfig:
-    """Fully resolved run configuration."""
+@dataclass(frozen=True)
+class ClockSpec:
+    """The edge clock: ``skew_edge_ms`` is added to T1 and nowhere else."""
 
-    pipeline: str
-    platform_profile: str
-    label: str
-    mode: str
-    seed: int | None
-    output_dir: str | None
-    workload: WorkloadSpec
-    link: LinkModel
-    hub: HubPolicy | None = None
-    cloud_function: CloudFunctionProfile | None = None
-    resources: ResourceProfile | None = None
     skew_edge_ms: int = 0
+
+    def __post_init__(self):
+        if abs(self.skew_edge_ms) > MAX_CONFIG_MS:
+            raise ValueError(f"skew_edge_ms must be within 2**53 ms of 0, got {self.skew_edge_ms}")
+
+
+@dataclass(frozen=True)
+class StorageSpec:
+    """Blob names start ``<route>/``; a blob's size is its envelope plus its messages' payloads."""
+
     blob_envelope_bytes: int = 0
     route: str = "results"
 
+    def __post_init__(self):
+        if self.blob_envelope_bytes < 0:
+            raise ValueError(f"blob_envelope_bytes must be >= 0, got {self.blob_envelope_bytes}")
+
+
+@dataclass(kw_only=True)
+class ScenarioConfig:
+    """Fully resolved run configuration.
+
+    The cross-section rules run on every construction, so a config
+    overridden with ``dataclasses.replace`` is checked like a file.
+    """
+
+    pipeline: str
+    platform_profile: str = "unnamed"
+    label: str = ""  # "" means "<platform_profile>/<workload kind>"
+    mode: str = "virtual"
+    seed: int | None = None
+    output_dir: str | None = None
+    workload: WorkloadSpec
+    link: LinkModel = field(default_factory=LinkModel)
+    hub: HubPolicy | None = None
+    cloud_function: CloudFunctionProfile | None = None
+    resources: ResourceProfile | None = None
+    clock: ClockSpec = field(default_factory=ClockSpec)
+    storage: StorageSpec = field(default_factory=StorageSpec)
+
+    def __post_init__(self):
+        pipeline = self.pipeline
+        if pipeline not in ("edge", "cloud"):
+            raise ParseError(f"pipeline must be 'edge' or 'cloud', got {pipeline!r}")
+        if self.mode not in ("virtual", "live"):
+            raise ParseError(f"mode must be 'virtual' or 'live', got {self.mode!r}")
+        if self.mode == "virtual" and self.seed is None:
+            raise ParseError("seed is required in virtual mode")
+        needed, unused = ("hub", "cloud_function") if pipeline == "edge" else ("cloud_function", "hub")
+        if getattr(self, needed) is None:
+            raise ParseError(f"{pipeline} pipeline requires a {needed} section")
+        if getattr(self, unused) is not None:
+            raise ParseError(f"{unused}: the {pipeline} pipeline does not use this section")
+        if pipeline == "cloud" and self.link.drop_probability > 0:
+            raise ParseError(f"link.drop_probability: the cloud pipeline does not model drops, "
+                             f"got {self.link.drop_probability}")
+        if not self.label:
+            self.label = f"{self.platform_profile}/{self.workload.kind}"
+
     def to_dict(self) -> dict:
         """Canonical resolved form, embedded in reports for reproducibility."""
-        doc = {key: getattr(self, key) for key in _SCALARS}
-        doc.update((section, _section_dict(getattr(self, section))) for section in _SECTIONS)
-        doc.update((section, {key: getattr(self, key) for key in keys})
-                   for section, keys in _FLAT_SECTIONS.items())
-        return doc
+        return _section_dict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
-        return _build_config(doc)
+        return _build_section(cls, doc)
 
 
-def _build_config(doc: dict) -> ScenarioConfig:
-    for key in doc:
-        if key not in _TOP_LEVEL_KEYS:
-            raise UnknownKey(f"unknown config key: {key!r}")
-    pipeline = doc.get("pipeline")
-    if pipeline not in ("edge", "cloud"):
-        raise ParseError(f"pipeline must be 'edge' or 'cloud', got {pipeline!r}")
-    mode = doc.get("mode", "virtual")
-    if mode not in ("virtual", "live"):
-        raise ParseError(f"mode must be 'virtual' or 'live', got {mode!r}")
-    seed = doc.get("seed")
-    if mode == "virtual" and seed is None:
-        raise ParseError("seed is required in virtual mode")
-    if not isinstance(doc.get("workload"), dict):
-        raise ParseError("workload section is required")
-    if doc["workload"].get("items") is None:
-        raise ParseError("workload.items is required")
-    sections = {name: _build_section(cls, name, doc[name])
-                for name, cls in _SECTIONS.items() if doc.get(name) is not None}
-    if sections["workload"].items < 1:
-        raise ParseError(f"workload.items must be >= 1, got {sections['workload'].items}")
-    needed, unused = ("hub", "cloud_function") if pipeline == "edge" else ("cloud_function", "hub")
-    if needed not in sections:
-        raise ParseError(f"{pipeline} pipeline requires a {needed} section")
-    if unused in sections:
-        raise ParseError(f"{unused}: the {pipeline} pipeline does not use this section")
-    link = sections.setdefault("link", LinkModel())
-    if pipeline == "cloud" and link.drop_probability > 0:
-        raise ParseError(f"link.drop_probability: the cloud pipeline does not model drops, "
-                         f"got {link.drop_probability}")
-    types = _field_types(ScenarioConfig)
-    flat = {}
-    for section, keys in _FLAT_SECTIONS.items():
-        flat.update(_read_section({key: types[key] for key in keys}, section, doc.get(section) or {}))
-    if flat.get("blob_envelope_bytes", 0) < 0:
-        raise ParseError(f"storage.blob_envelope_bytes must be >= 0, got {flat['blob_envelope_bytes']}")
-    if abs(flat.get("skew_edge_ms", 0)) > MAX_CONFIG_MS:
-        raise ParseError(f"clock.skew_edge_ms must be within 2**53 ms of 0, got {flat['skew_edge_ms']}")
-    text = {key: _convert(str, doc[key], key)
-            for key in ("platform_profile", "label", "output_dir") if doc.get(key) is not None}
-    platform = text.get("platform_profile", "unnamed")
-    return ScenarioConfig(
-        pipeline=pipeline,
-        platform_profile=platform,
-        label=text.get("label") or f"{platform}/{sections['workload'].kind}",
-        mode=mode,
-        seed=None if seed is None else _convert(int, seed, "seed"),
-        output_dir=text.get("output_dir"),
-        **sections,
-        **flat,
-    )
+def config_file(name: str | Path, kind: str = "") -> Path:
+    """``name`` if it is a file, else the shipped fixture ``<kind>/<name>`` (e.g. ``scenarios/x``)."""
+    path = Path(name)
+    return path if path.is_file() else fixture_path(str(Path(kind, name)))
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -307,7 +299,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     if not path.is_file():
         raise ParseError(f"config file not found: {path}")
-    return _build_config(_resolve_extends(path.resolve()))
+    return ScenarioConfig.from_dict(_resolve_extends(path.resolve()))
 
 
 def load_fixture(name: str) -> ScenarioConfig:
@@ -317,18 +309,11 @@ def load_fixture(name: str) -> ScenarioConfig:
 
 # --- rate cards and usage scenarios ----------------------------------
 
-def _named_or_path(name: str, kind: str) -> Path:
-    path = Path(name)
-    if path.is_file():
-        return path
-    return fixture_path(f"{kind}/{name}")
-
-
 def load_rate_card(name: str | Path) -> RateCard:
     """Load a rate card by fixture name (e.g. ``us-east-2018``) or path."""
-    return _build_section(RateCard, "ratecard", _load_yaml(_named_or_path(str(name), "ratecards")))
+    return _build_section(RateCard, _load_yaml(config_file(name, "ratecards")), "ratecard")
 
 
 def load_usage(name: str | Path) -> UsageScenario:
     """Load a usage scenario by fixture name (e.g. ``traffic-camera``) or path."""
-    return _build_section(UsageScenario, "usage", _load_yaml(_named_or_path(str(name), "usage")))
+    return _build_section(UsageScenario, _load_yaml(config_file(name, "usage")), "usage")

@@ -51,6 +51,8 @@ class HubPolicy:
                 raise ValueError("chunk_bytes must be positive")
             if self.holdback_s < 0:
                 raise ValueError("holdback_s must be >= 0")
+            if round(self.holdback_s * 1000) > MAX_CONFIG_MS:
+                raise ValueError(f"holdback_s must be at most 2**53 ms, got {self.holdback_s}")
             if self.platform_faithful:
                 if self.window_s is not None and self.window_s < PLATFORM_MIN_WINDOW_S:
                     raise ValueError(

@@ -103,7 +103,7 @@ def start_run(config: ScenarioConfig, loop: EventLoop, seed: int,
     root = SeededRng(seed)
     link = Link(config.link, ByteLedger(), root.substream("link"))
     table = RunTable(config.workload.items)
-    store = BlobStore(table, config.route, config.blob_envelope_bytes, persist_blobs)
+    store = BlobStore(table, config.storage.route, config.storage.blob_envelope_bytes, persist_blobs)
     run = Run(config, root, link, table, store)
     step = (_edge_step if config.pipeline == "edge" else _cloud_step)(run, loop.clock)
     items = config.workload.items
@@ -154,7 +154,8 @@ def _edge_step(run: Run, clock):
         c_edge, send, payload, bodies, next_start = run_item(config.workload, first, end - first, clock,
                                                                wl_rng, persist)
         table.started = end
-        table.c_edge[rows], table.t1[rows], table.payload[rows] = c_edge, send + config.skew_edge_ms, payload
+        table.c_edge[rows], table.payload[rows] = c_edge, payload
+        table.t1[rows] = send + config.clock.skew_edge_ms
         kept, arrival = link.deliver(DEVICE, payload, send)
         table.dropped[rows] = ~kept
         delivered = np.flatnonzero(kept)
@@ -186,7 +187,7 @@ def _cloud_step(run: Run, clock):
         start, t2, t3, next_start = time_cloud_item(config.cloud_function, config.link, clock.now,
                                                     input_bytes, cloud_rng)
         table.started = end
-        table.c_edge[rows], table.t1[rows], table.t2[rows] = 0, start + config.skew_edge_ms, t2
+        table.c_edge[rows], table.t1[rows], table.t2[rows] = 0, start + config.clock.skew_edge_ms, t2
         table.payload[rows] = result_bytes
         ledger.record(DEVICE, int(input_bytes.sum()), overhead * (end - first))
         ledger.record(CLOUD_FUNCTION_SOURCE, int(result_bytes.sum()), 0)

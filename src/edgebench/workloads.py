@@ -13,7 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Distribution, SeededRng, SimulationError, constant, sample_rows, to_ms, uniform
+from .core import (MAX_CONFIG_MS, Distribution, SeededRng, SimulationError, constant, sample_rows, to_ms,
+                   uniform)
 
 WORKLOAD_KINDS = ("scalar", "image", "audio", "custom")
 MAX_SCALAR_READINGS = 10 ** 4  # readings in one scalar message
@@ -31,9 +32,10 @@ class ExhaustedWorkload(SimulationError):
 class WorkloadSpec:
     """A benchmark driver definition.
 
-    ``items`` is the number of messages a run emits (for scalar, the
-    number of batch messages). ``warmup_delay_s`` delays the first item
-    so startup network noise is excluded from byte accounting.
+    ``items`` (required, at least 1) is the number of messages a run
+    emits (for scalar, the number of batch messages). ``warmup_delay_s``
+    delays the first item so startup network noise is excluded from byte
+    accounting.
     ``item_hook`` (live mode only) does an item's real work in place of
     the modeled compute time and payload: it is called with the item
     index and returns the result text. It is set from code and is not a
@@ -41,7 +43,7 @@ class WorkloadSpec:
     """
 
     kind: str = "custom"
-    items: int = 1
+    items: int = field(kw_only=True)
     input_bytes_per_item: Distribution = constant(0)
     compute_ms: Distribution = constant(0)
     result_payload_bytes: Distribution = constant(0)
@@ -54,15 +56,19 @@ class WorkloadSpec:
     def __post_init__(self):
         if self.kind not in WORKLOAD_KINDS:
             raise ValueError(f"unknown workload kind: {self.kind!r}")
-        if self.items < 0:
-            raise ValueError("items must be >= 0")
+        if self.items < 1:
+            raise ValueError(f"items must be >= 1, got {self.items}")
         if self.warmup_delay_s < 0:
             raise ValueError("warmup_delay_s must be >= 0")
+        if round(self.warmup_delay_s * 1000) > MAX_CONFIG_MS:
+            raise ValueError(f"warmup_delay_s must be at most 2**53 ms, got {self.warmup_delay_s}")
         if self.kind == "scalar":
             if self.scalar_freq_hz <= 0:
                 raise InvalidRate(f"scalar_freq_hz must be > 0, got {self.scalar_freq_hz}")
             if self.scalar_interval_s <= 0:
                 raise InvalidRate(f"scalar_interval_s must be > 0, got {self.scalar_interval_s}")
+            if round(self.scalar_interval_s * 1000) > MAX_CONFIG_MS:
+                raise ValueError(f"scalar_interval_s must be at most 2**53 ms, got {self.scalar_interval_s}")
             readings = self.scalar_freq_hz * self.scalar_interval_s  # a message holds int(readings)
             if readings >= MAX_SCALAR_READINGS + 1:
                 raise ValueError(f"scalar_freq_hz * scalar_interval_s must be at most "

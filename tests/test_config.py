@@ -1,9 +1,11 @@
 """Config loading: strict schema, inheritance, round-trips."""
 
+from dataclasses import is_dataclass, replace
+
 import pytest
 
+from edgebench.cloud import CloudFunctionProfile
 from edgebench.config import (
-    _SECTIONS,
     MissingProfile,
     ParseError,
     ScenarioConfig,
@@ -16,7 +18,7 @@ from edgebench.config import (
     load_usage,
     parse_distribution,
 )
-from edgebench.core import constant, uniform
+from edgebench.core import Distribution, constant, uniform
 from edgebench.runner import run_scenario
 
 MINIMAL_EDGE = """
@@ -126,12 +128,18 @@ hub: {mode: batched, window_s: 0.0006}
         ("batch-window-60", "hub: {{window_s: {}}}", "9007199254740.992", "9007199254740.994",
          r"hub: window_s must be at most 2\*\*53 ms"),
         ("greengrass-image", "clock: {{skew_edge_ms: {}}}", "9007199254740992", "9007199254740993",
-         r"clock.skew_edge_ms must be within 2\*\*53 ms"),
+         r"clock: skew_edge_ms must be within 2\*\*53 ms"),
         ("greengrass-image", "clock: {{skew_edge_ms: {}}}", "-9007199254740992", "-9007199254740993",
-         r"clock.skew_edge_ms must be within 2\*\*53 ms"),
+         r"clock: skew_edge_ms must be within 2\*\*53 ms"),
         ("greengrass-scalar", "workload: {{scalar_freq_hz: 1, scalar_interval_s: {}}}", "10000", "10001",
          r"workload: scalar_freq_hz \* scalar_interval_s must be at most 10000 readings"),
-    ], ids=["window", "skew", "negative-skew", "scalar-readings"])
+        ("greengrass-image", "workload: {{warmup_delay_s: {}}}", "9007199254740.992", "9007199254740.994",
+         r"workload: warmup_delay_s must be at most 2\*\*53 ms"),
+        ("batch-window-60", "hub: {{holdback_s: {}}}", "9007199254740.992", "9007199254740.994",
+         r"hub: holdback_s must be at most 2\*\*53 ms"),
+        ("greengrass-scalar", "workload: {{scalar_freq_hz: 1.0e-12, scalar_interval_s: {}}}",
+         "9007199254740.992", "9007199254740.994", r"workload: scalar_interval_s must be at most 2\*\*53 ms"),
+    ], ids=["window", "skew", "negative-skew", "scalar-readings", "warmup", "holdback", "scalar-interval"])
     def test_value_bounds(self, tmp_path, parent, template, at_bound, past, match):
         # values past these bounds ended in a traceback, a MemoryError or an int64 wrap
         path = write_config(tmp_path, f"extends: scenarios/{parent}\nresources: null\n"
@@ -211,7 +219,8 @@ hub: {mode: immediate}
         ("greengrass-image", "clock: {skew_edge_ms: abc}", "clock.skew_edge_ms: expected an integer"),
         ("greengrass-image", "storage: {blob_envelope_bytes: abc}",
          "storage.blob_envelope_bytes: expected an integer"),
-        ("greengrass-image", "storage: {blob_envelope_bytes: -1}", "storage.blob_envelope_bytes must be >= 0"),
+        ("greengrass-image", "storage: {blob_envelope_bytes: -1}",
+         "storage: blob_envelope_bytes must be >= 0"),
         ("azureedge-image", "hub: {platform_faithful: 'no'}", "hub.platform_faithful: expected true or false"),
         ("greengrass-image", "cloud_function: {exec_ms: 5}", "cloud_function: the edge pipeline"),
         ("aws-cloud-image", "hub: {mode: immediate}", "hub: the cloud pipeline"),
@@ -221,6 +230,21 @@ hub: {mode: immediate}
         path = write_config(tmp_path, f"extends: scenarios/{parent}\n{override}\n")
         with pytest.raises(ParseError, match=match):
             load_config(path)
+
+
+class TestOverrides:
+    """A config overridden with ``dataclasses.replace`` is checked like a file."""
+
+    def test_seed_required_in_virtual_mode(self):
+        config = load_fixture("scenarios/greengrass-image")
+        with pytest.raises(ParseError, match="seed is required in virtual mode"):
+            replace(config, seed=None)
+        assert replace(config, seed=None, mode="live").seed is None
+
+    def test_unused_section_rejected(self):
+        config = load_fixture("scenarios/greengrass-image")
+        with pytest.raises(ParseError, match="cloud_function: the edge pipeline does not use this section"):
+            replace(config, cloud_function=CloudFunctionProfile())
 
 
 class TestDistributionsInConfig:
@@ -294,8 +318,8 @@ class TestRoundTrip:
         config = load_fixture(name)
         doc = config.to_dict()
         assert ScenarioConfig.from_dict(doc) == config
-        for section, cls in _SECTIONS.items():
-            if doc[section] is not None:
+        for section, cls in _field_types(ScenarioConfig).items():
+            if is_dataclass(cls) and cls is not Distribution and doc[section] is not None:
                 assert set(doc[section]) == set(_field_types(cls))
 
 

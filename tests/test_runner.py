@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from edgebench import runner
-from edgebench.config import ScenarioConfig, load_fixture
+from edgebench.config import ClockSpec, ScenarioConfig, load_fixture
 from edgebench.core import SeededRng, SimulationError, constant
 from edgebench.metrics import report_to_json, rows_to_csv
 from edgebench.runner import RESOURCE_CHUNK, _replay_resources, run_scenario, write_artifacts
@@ -162,8 +162,7 @@ class TestTimestampOrdering:
 class TestSkewNeutrality:
     def test_skew_shifts_t1_only(self):
         base = run_fixture("greengrass-audio")
-        config = load_fixture("scenarios/greengrass-audio")
-        config.skew_edge_ms = 50
+        config = replace(load_fixture("scenarios/greengrass-audio"), clock=ClockSpec(skew_edge_ms=50))
         skewed = run_scenario(config)
         assert (skewed.table.column("t1") == base.table.column("t1") + 50).all()
         for name in ("t2", "t3"):
