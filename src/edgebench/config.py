@@ -238,12 +238,13 @@ class StorageSpec:
             raise ValueError(f"blob_envelope_bytes must be >= 0, got {self.blob_envelope_bytes}")
 
 
-@dataclass(kw_only=True)
+@dataclass(frozen=True, kw_only=True)
 class ScenarioConfig:
     """Fully resolved run configuration.
 
-    The cross-section rules run on every construction, so a config
-    overridden with ``dataclasses.replace`` is checked like a file.
+    A config and its sections are frozen, so ``dataclasses.replace`` is
+    the only way to override one, and the cross-section rules run on
+    every construction: a replaced config is checked like a file.
     """
 
     pipeline: str
@@ -276,8 +277,10 @@ class ScenarioConfig:
         if pipeline == "cloud" and self.link.drop_probability > 0:
             raise ParseError(f"link.drop_probability: the cloud pipeline does not model drops, "
                              f"got {self.link.drop_probability}")
+        if self.mode == "virtual" and self.workload.item_hook is not None:
+            raise ParseError("workload.item_hook does real work, which needs live mode")
         if not self.label:
-            self.label = f"{self.platform_profile}/{self.workload.kind}"
+            object.__setattr__(self, "label", f"{self.platform_profile}/{self.workload.kind}")
 
     def to_dict(self) -> dict:
         """Canonical resolved form, embedded in reports for reproducibility."""

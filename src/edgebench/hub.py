@@ -22,7 +22,10 @@ PLATFORM_MIN_CHUNK_BYTES = 10 * 1000 * 1000
 class HubPolicy:
     """The hub's write policy.
 
-    Batched mode needs at least one of ``window_s``/``chunk_bytes``.
+    An immediate hub writes each message after ``write_latency_ms``; a
+    batched one flushes by ``window_s``/``chunk_bytes`` (at least one of
+    them) and creates each blob ``holdback_s`` later. Each mode rejects
+    the fields only the other reads.
     With ``platform_faithful`` set, the batched platform's minimums
     (60 s window, 10 MB chunk) are enforced at validation time.
     Hold-back is the observed extra delay between batch flush and blob
@@ -39,6 +42,16 @@ class HubPolicy:
     def __post_init__(self):
         if self.mode not in ("immediate", "batched"):
             raise ValueError(f"unknown hub mode: {self.mode!r}")
+        if self.mode == "immediate":
+            for key, is_set in (("window_s", self.window_s is not None),
+                                ("chunk_bytes", self.chunk_bytes is not None),
+                                ("holdback_s", self.holdback_s != 0),
+                                ("platform_faithful", self.platform_faithful)):
+                if is_set:
+                    raise ValueError(f"an immediate hub does not use {key}, got {getattr(self, key)!r}")
+        elif self.write_latency_ms != constant(0):
+            raise ValueError(f"a batched hub does not use write_latency_ms, "
+                             f"got {self.write_latency_ms.to_spec()!r}")
         if self.mode == "batched":
             if self.window_s is None and self.chunk_bytes is None:
                 raise ValueError("batched hub needs window_s or chunk_bytes")

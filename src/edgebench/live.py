@@ -1,21 +1,22 @@
-"""Live-mode runner: the runner's block engine on a wall clock.
+"""Live mode's wall clock and resource sampler.
 
-The run's one ``EventLoop`` runs on the calling thread, as in virtual
-mode, but its clock is the wall clock and each block holds one item: an
-item cannot start before the previous item's measured compute has
-ended. The loop sleeps until each item falls due and runs one that is
-already due late. Compute time is burned with a deadline spin loop
-(approximate, a few percent per item); a workload's ``item_hook`` does
-its work in its place. Nothing else runs meanwhile: an item's send,
-link, hub and blob decisions follow in the same event, the loop ends
-with an event at the run's last modeled time, and persisted blobs are
-written once it has ended. Link delays and cloud-side times (t2, t3) are
-modeled, not transmitted, so when a cloud-side step runs never changes
-a value, and a failure in any step ends the run at once. Resource usage
-is sampled from the real process at 1 s cadence on a thread of its own,
-so live reports carry measured CPU/RSS instead of replayed profiles;
-without psutil, or in a run shorter than one sample, they say why none
-were taken. Live runs are excluded from the exact-determinism
+``runner.run_scenario`` runs a live scenario with the same block chain
+as a virtual one, on one ``EventLoop`` on the calling thread, but on
+:class:`WallClock` and with one item a block: an item cannot start
+before the previous item's measured compute has ended. The loop sleeps
+until each item falls due and runs one that is already due late.
+Compute time is burned with a deadline spin loop (approximate, a few
+percent per item); a workload's ``item_hook`` does its work in its
+place. Nothing else runs meanwhile: an item's send, link, hub and blob
+decisions follow in the same event, the loop ends with an event at the
+run's last modeled time, and persisted blobs are written once it has
+ended. Link delays and cloud-side times (t2, t3) are modeled, not
+transmitted, so when a cloud-side step runs never changes a value, and a
+failure in any step ends the run at once. :class:`ResourceSampler`
+samples the real process at 1 s cadence on a thread of its own while the
+loop runs, so live reports carry measured CPU/RSS instead of replayed
+profiles; without psutil, or in a run shorter than one sample, they say
+why none were taken. Live runs are excluded from the exact-determinism
 guarantees of virtual mode.
 """
 
@@ -23,16 +24,11 @@ from __future__ import annotations
 
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 
-from .config import ScenarioConfig
-from .core import EventLoop
-from .runner import RunResult, finish_run, start_run
 
-
-class _WallClock:
+class WallClock:
     """Milliseconds since the run began, with the interface of ``core.Clock``."""
 
     def __init__(self):
@@ -57,7 +53,9 @@ class _WallClock:
         return np.array([self.now - start])
 
 
-class _ResourceSampler(threading.Thread):
+class ResourceSampler(threading.Thread):
+    """Samples the process's CPU and RSS at 1 s cadence from entering a ``with`` block to leaving it."""
+
     def __init__(self):
         super().__init__(daemon=True)
         self.stop = threading.Event()
@@ -70,6 +68,14 @@ class _ResourceSampler(threading.Thread):
             self._proc.cpu_percent(None)  # prime the counter
         except ImportError:
             self._proc = None
+
+    def __enter__(self) -> "ResourceSampler":
+        self.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop.set()
+        self.join()
 
     def run(self):
         if self._proc is None:
@@ -89,18 +95,3 @@ class _ResourceSampler(threading.Thread):
             "ram_mb_mean": sum(self.ram) / len(self.ram),
             "samples": len(self.cpu),
         }
-
-
-def run_live(config: ScenarioConfig, persist_blobs: str | Path | None = None) -> RunResult:
-    """Execute one scenario against the wall clock; a failure anywhere ends the run at once."""
-    loop = EventLoop(_WallClock())
-    seed = config.seed if config.seed is not None else time.time_ns() & (2**63 - 1)
-    run = start_run(config, loop, seed, persist_blobs, block=1)
-    sampler = _ResourceSampler()
-    sampler.start()
-    try:
-        duration_ms = loop.run()
-    finally:
-        sampler.stop.set()
-        sampler.join()
-    return finish_run(run, duration_ms, sampler.summary())

@@ -43,32 +43,15 @@ class LinkModel:
 
 
 @dataclass
-class SourceTotals:
-    payload_bytes: int = 0
-    overhead_bytes: int = 0
-
-    @property
-    def transmitted_bytes(self) -> int:
-        return self.payload_bytes + self.overhead_bytes
-
-
-@dataclass
 class ByteLedger:
-    """Per-source running byte totals, updated on every delivery."""
+    """Per-source running payload and overhead byte totals, updated on every delivery."""
 
-    sources: dict = field(default_factory=dict)
+    sources: dict[str, list[int]] = field(default_factory=dict)  # source -> [payload, overhead]
 
     def record(self, source: str, payload_bytes: int, overhead_bytes: int) -> None:
-        totals = self.sources.setdefault(source, SourceTotals())
-        totals.payload_bytes += payload_bytes
-        totals.overhead_bytes += overhead_bytes
-
-    def total(self) -> SourceTotals:
-        grand = SourceTotals()
-        for totals in self.sources.values():
-            grand.payload_bytes += totals.payload_bytes
-            grand.overhead_bytes += totals.overhead_bytes
-        return grand
+        totals = self.sources.setdefault(source, [0, 0])
+        totals[0] += payload_bytes
+        totals[1] += overhead_bytes
 
 
 class Link:
@@ -121,20 +104,17 @@ class Link:
 
 def ledger_report(ledger: ByteLedger) -> dict:
     """Per-source and grand byte totals; transmitted = payload + overhead."""
-    report = {
-        name: {
-            "payload_bytes": totals.payload_bytes,
-            "overhead_bytes": totals.overhead_bytes,
-            "transmitted_bytes": totals.transmitted_bytes,
-        }
-        for name, totals in sorted(ledger.sources.items())
-    }
-    grand = ledger.total()
+    sources = sorted(ledger.sources.items())
     return {
-        "sources": report,
-        "total": {
-            "payload_bytes": grand.payload_bytes,
-            "overhead_bytes": grand.overhead_bytes,
-            "transmitted_bytes": grand.transmitted_bytes,
-        },
+        "sources": {name: _byte_totals(*totals) for name, totals in sources},
+        "total": _byte_totals(sum(totals[0] for _, totals in sources),
+                              sum(totals[1] for _, totals in sources)),
+    }
+
+
+def _byte_totals(payload_bytes: int, overhead_bytes: int) -> dict:
+    return {
+        "payload_bytes": payload_bytes,
+        "overhead_bytes": overhead_bytes,
+        "transmitted_bytes": payload_bytes + overhead_bytes,
     }

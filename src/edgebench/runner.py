@@ -11,20 +11,21 @@ maximum for FIFO arrivals, vector window boundaries, and one sequential
 pass for chunk triggers. The hub or cloud function creates each blob
 as soon as it decides it, which stamps T3; the blob store numbers
 blobs only when they are listed.
-Nothing is scheduled per message. Virtual mode runs the loop on
-``Clock`` with blocks of BLOCK ids; live mode (``live.py``) runs the
-same code on a wall clock with one-item blocks, since an item cannot
-start before the previous item's measured compute has ended. Both run
-the loop to its end in the same step and finish in the same step, which
-checks the table, mirrors the blobs to disk if asked, and aggregates
-the delivered messages into a RunReport.
+Nothing is scheduled per message. ``run_scenario`` runs both modes with
+one body: virtual mode runs the loop on ``Clock`` with blocks of BLOCK
+ids, live mode on ``live.WallClock`` with one-item blocks, since an item
+cannot start before the previous item's measured compute has ended.
+After the loop it checks the table, mirrors the blobs to disk if asked,
+and aggregates the delivered messages into a RunReport.
 In virtual mode identical seed and config produce identical results,
 field-for-field and byte-for-byte, whatever the block size.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -58,54 +59,38 @@ class RunResult:
         return metric_rows(self.table)
 
 
-@dataclass
-class Run:
-    """What a run's block steps write and :func:`finish_run` reads."""
-
-    config: ScenarioConfig
-    root: SeededRng
-    link: Link
-    table: RunTable
-    store: BlobStore
-
-
 def run_scenario(config: ScenarioConfig, persist_blobs: str | Path | None = None) -> RunResult:
-    """Execute one scenario, in virtual time unless its mode is live, and aggregate its report."""
-    if config.mode != "virtual":
-        from .live import run_live
+    """Execute one scenario on its mode's clock and aggregate its report.
 
-        return run_live(config, persist_blobs=persist_blobs)
-    if config.seed is None:
-        raise ValueError("virtual mode requires a seed")
-    if config.workload.item_hook is not None:
-        raise ValueError("workload.item_hook does real work, which needs live mode")
-
-    loop = EventLoop(Clock())
-    run = start_run(config, loop, config.seed, persist_blobs, BLOCK)
-    duration_ms = loop.run()
-    return finish_run(run, duration_ms, _replay_resources(config, run.root, duration_ms))
-
-
-def start_run(config: ScenarioConfig, loop: EventLoop, seed: int,
-              persist_blobs: str | Path | None, block: int) -> Run:
-    """Set up a run and schedule its chain of blocks of at most ``block`` items on ``loop``.
-
-    Each block event runs the pipeline's step, which computes its items'
-    whole pipeline with array draws and array arithmetic (device compute
-    and sends, link, hub or cloud function, blob store) and returns the
-    next block's start, where the event schedules the next block. The
-    last block's step returns the run's latest modeled time instead, and
-    its event schedules one more event there, which sets the run's
-    duration. The loop's clock has ``now``, ``advance`` and ``compute``.
-    The steps add the edge clock's skew to T1 and nowhere else, so event
-    order and bytes do not depend on it.
+    The mode chooses the clock, the block size and the resource summary
+    (the profile replayed after the loop, or live's sampler while it
+    runs), and nothing else. Each block event runs the pipeline's step,
+    which computes its items' whole pipeline with array draws and array
+    arithmetic (device compute and sends, link, hub or cloud function,
+    blob store) and returns the next block's start, where the event
+    schedules the next block. The last block's step returns the run's
+    latest modeled time instead, and its event schedules one more event
+    there, which sets the run's duration. The steps add the edge clock's
+    skew to T1 and nowhere else, so event order and bytes do not depend
+    on it. A delivered message that misses a timestamp raises
+    IncompleteRecord, so a run never hides a lost message. A live run
+    without a seed draws one and reports it, so a virtual run at the
+    report's seed makes the same draws.
     """
+    live = config.mode == "live"
+    if live:
+        from .live import ResourceSampler, WallClock
+
+        loop, block, sampler = EventLoop(WallClock()), 1, ResourceSampler()
+    else:
+        loop, block, sampler = EventLoop(Clock()), BLOCK, contextlib.nullcontext()
+    seed = config.seed if config.seed is not None else time.time_ns() & (2**63 - 1)  # live mode only
     root = SeededRng(seed)
-    link = Link(config.link, ByteLedger(), root.substream("link"))
+    ledger = ByteLedger()
     table = RunTable(config.workload.items)
     store = BlobStore(table, config.storage.route, config.storage.blob_envelope_bytes, persist_blobs)
-    run = Run(config, root, link, table, store)
-    step = (_edge_step if config.pipeline == "edge" else _cloud_step)(run, loop.clock)
+    step = (_edge_step if config.pipeline == "edge" else _cloud_step)(config, root, ledger, table, store,
+                                                                       loop.clock)
     items = config.workload.items
 
     def run_block(first):
@@ -114,40 +99,32 @@ def start_run(config: ScenarioConfig, loop: EventLoop, seed: int,
         loop.schedule(step(first, end, last), (lambda: None) if last else (lambda: run_block(end)))
 
     loop.schedule(round(config.workload.warmup_delay_s * 1000), lambda: run_block(0))
-    return run
-
-
-def finish_run(run: Run, duration_ms: int, resources: dict | None) -> RunResult:
-    """Aggregate the run table's delivered messages into the report.
-
-    A delivered message that misses a timestamp raises IncompleteRecord,
-    so a run never hides a lost message. With ``persist_blobs`` set, the
-    blobs are mirrored to disk first.
-    """
-    config = run.config
-    finalize_row(run.table)
-    if run.store.persist_dir is not None:
-        run.store.mirror()
+    with sampler:
+        duration_ms = loop.run()
+    resources = sampler.summary() if live else _replay_resources(config, root, duration_ms)
+    finalize_row(table)
+    if store.persist_dir is not None:
+        store.mirror()
     report = aggregate(
-        run.table,
+        table,
         label=config.label,
         pipeline=config.pipeline,
-        seed=config.seed if config.seed is not None else 0,
+        seed=seed,
         config=config.to_dict(),
-        ledger=ledger_report(run.link.ledger),
+        ledger=ledger_report(ledger),
         resources=resources,
-        blob_count=len(run.store),
+        blob_count=len(store),
         duration_ms=duration_ms,
     )
-    return RunResult(report=report, table=run.table, store=run.store)
+    return RunResult(report=report, table=table, store=store)
 
 
-def _edge_step(run: Run, clock):
-    config = run.config
-    wl_rng = run.root.substream("workload")
-    link, table, store = run.link, run.table, run.store
+def _edge_step(config: ScenarioConfig, root: SeededRng, ledger: ByteLedger, table: RunTable,
+               store: BlobStore, clock):
+    wl_rng = root.substream("workload")
+    link = Link(config.link, ledger, root.substream("link"))
     persist = store.persist_dir is not None
-    hub = Hub(config.hub, run.root.substream("hub"), table, store.create_blob)
+    hub = Hub(config.hub, root.substream("hub"), table, store.create_blob)
 
     def step(first, end, last):
         rows = slice(first, end)
@@ -172,12 +149,11 @@ def _edge_step(run: Run, clock):
     return step
 
 
-def _cloud_step(run: Run, clock):
-    config = run.config
+def _cloud_step(config: ScenarioConfig, root: SeededRng, ledger: ByteLedger, table: RunTable,
+                store: BlobStore, clock):
     spec = config.workload
-    wl_rng = run.root.substream("workload")
-    cloud_rng = run.root.substream("cloud")
-    ledger, table, store = run.link.ledger, run.table, run.store
+    wl_rng = root.substream("workload")
+    cloud_rng = root.substream("cloud")
     overhead = config.link.per_message_overhead_bytes
 
     def step(first, end, last):

@@ -28,7 +28,7 @@ class ExhaustedWorkload(SimulationError):
     """Raised when an item index is past the end of the workload."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorkloadSpec:
     """A benchmark driver definition.
 
@@ -75,7 +75,7 @@ class WorkloadSpec:
                                  f"{MAX_SCALAR_READINGS} readings a message, got {readings}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResourceProfile:
     """Device CPU/RAM usage replayed into reports in virtual mode."""
 

@@ -1,6 +1,7 @@
 """Config loading: strict schema, inheritance, round-trips."""
 
-from dataclasses import is_dataclass, replace
+import re
+from dataclasses import FrozenInstanceError, is_dataclass, replace
 
 import pytest
 
@@ -145,7 +146,7 @@ hub: {mode: batched, window_s: 0.0006}
         path = write_config(tmp_path, f"extends: scenarios/{parent}\nresources: null\n"
                                       f"{template.format(at_bound)}\n")
         config = load_config(path)
-        config.workload.items = 2
+        config = replace(config, workload=replace(config.workload, items=2))
         assert run_scenario(config).report.message_count == 2
         path.write_text(f"extends: scenarios/{parent}\n{template.format(past)}\n")
         with pytest.raises(ParseError, match=match):
@@ -245,6 +246,46 @@ class TestOverrides:
         config = load_fixture("scenarios/greengrass-image")
         with pytest.raises(ParseError, match="cloud_function: the edge pipeline does not use this section"):
             replace(config, cloud_function=CloudFunctionProfile())
+
+    @pytest.mark.parametrize("section, key, value", [
+        (None, "seed", 2), (None, "label", "x"), ("workload", "warmup_delay_s", 1.0e17),
+        ("workload", "items", 0), ("resources", "cores", 0),
+    ])
+    def test_attribute_assignment_rejected(self, section, key, value):
+        # an assignment would skip every rule, so replace is the only override
+        config = load_fixture("scenarios/greengrass-image")
+        with pytest.raises(FrozenInstanceError):
+            setattr(config if section is None else getattr(config, section), key, value)
+
+    def test_item_hook_needs_live_mode(self):
+        config = replace(load_fixture("scenarios/greengrass-image"), mode="live")
+        config = replace(config, workload=replace(config.workload, item_hook=lambda idx: "x"))
+        with pytest.raises(ParseError, match="workload.item_hook does real work, which needs live mode"):
+            replace(config, mode="virtual")
+
+
+class TestHubModes:
+    """A hub rejects the fields its mode ignores, naming the key."""
+
+    @pytest.mark.parametrize("parent, override, match", [
+        ("greengrass-image", "hub: {holdback_s: 3600, window_s: 60, chunk_bytes: 5}",
+         "hub: an immediate hub does not use window_s"),
+        ("greengrass-image", "hub: {holdback_s: 3600}", "hub: an immediate hub does not use holdback_s"),
+        ("batch-window-60", "hub: {write_latency_ms: {constant: 99999}}",
+         "hub: a batched hub does not use write_latency_ms"),
+        ("greengrass-image", "hub: {mode: batched, window_s: 60}",
+         "hub: a batched hub does not use write_latency_ms, got {'constant': 510.0}"),
+    ], ids=["immediate-batch-fields", "immediate-holdback", "batched-write-latency", "inherited-latency"])
+    def test_ignored_field_rejected(self, tmp_path, parent, override, match):
+        # each of these ran with exit 0 and the plain fixture's timings
+        path = write_config(tmp_path, f"extends: scenarios/{parent}\n{override}\n")
+        with pytest.raises(ParseError, match=re.escape(match)):
+            load_config(path)
+
+    def test_switching_mode_nulls_the_inherited_field(self, tmp_path):
+        path = write_config(tmp_path, "extends: scenarios/greengrass-image\n"
+                                      "hub: {mode: batched, window_s: 60, write_latency_ms: null}\n")
+        assert load_config(path).hub.write_latency_ms == constant(0)
 
 
 class TestDistributionsInConfig:

@@ -187,3 +187,20 @@ class TestPolicyvalidation:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             HubPolicy(mode="streaming")
+
+    @pytest.mark.parametrize("key, value", [
+        ("window_s", 60), ("chunk_bytes", 5), ("holdback_s", 3600), ("platform_faithful", True),
+    ])
+    def test_immediate_hub_rejects_batch_fields(self, key, value):
+        # an immediate hub writes each message after write_latency_ms and reads none of these
+        with pytest.raises(ValueError, match=f"an immediate hub does not use {key}"):
+            HubPolicy(mode="immediate", **{key: value})
+
+    def test_batched_hub_rejects_write_latency(self):
+        # a batched hub creates each blob holdback_s after its flush and never reads write_latency_ms
+        with pytest.raises(ValueError, match="a batched hub does not use write_latency_ms"):
+            HubPolicy(mode="batched", window_s=60, write_latency_ms=constant(99999))
+
+    def test_unused_fields_at_their_defaults_are_accepted(self):
+        assert HubPolicy(mode="immediate", holdback_s=0.0).holdback_s == 0
+        assert HubPolicy(mode="batched", window_s=60, write_latency_ms=constant(0.0)).window_s == 60

@@ -11,10 +11,10 @@ from dataclasses import replace
 
 import pytest
 
-from edgebench.config import ScenarioConfig
+from edgebench.config import ParseError, ScenarioConfig
 from edgebench.core import constant
 from edgebench.hub import Hub
-from edgebench.live import _ResourceSampler
+from edgebench.live import ResourceSampler
 from edgebench.metrics import IncompleteRecord
 from edgebench.runner import run_scenario
 
@@ -105,12 +105,12 @@ class TestLiveCloud:
             assert row.residence_ms >= 30  # trigger + exec at least
 
 
-def parity_config(mode, pipeline="edge"):
+def parity_config(mode, pipeline="edge", seed=3):
     doc = {
         "pipeline": pipeline,
         "platform_profile": "parity",
         "mode": mode,
-        "seed": 3,
+        "seed": seed,
         "workload": {
             "kind": "custom",
             "items": 5,
@@ -147,13 +147,22 @@ class TestParity:
         assert live.report.ledger == virtual.report.ledger
         assert blob_ids(live) == blob_ids(virtual)
 
+    @pytest.mark.parametrize("pipeline", ["edge", "cloud"])
+    def test_seedless_live_run_reports_its_seed(self, pipeline):
+        # the report's seed reproduces the live run's draws in virtual mode
+        live = run_scenario(replace(parity_config("live", pipeline), seed=None))
+        virtual = run_scenario(parity_config("virtual", pipeline, seed=live.report.seed))
+        assert ({r.id: r.payload_bytes for r in live.rows}
+                == {r.id: r.payload_bytes for r in virtual.rows})
+        assert live.report.ledger == virtual.report.ledger
+
     def test_item_hook_does_the_work_in_live_mode(self, tmp_path):
         def hook(idx):
             time.sleep(0.02)
             return f"real result {idx}"
 
         config = parity_config("live")
-        config.workload = replace(config.workload, item_hook=hook)
+        config = replace(config, workload=replace(config.workload, item_hook=hook))
         result = run_scenario(config, persist_blobs=tmp_path)
         for row in result.rows:
             assert row.payload_bytes == len(f"real result {row.id}")
@@ -170,19 +179,18 @@ class TestParity:
             return "ok"
 
         config = parity_config("live")
-        config.workload = replace(config.workload, item_hook=hook)
+        config = replace(config, workload=replace(config.workload, item_hook=hook))
         run_scenario(config)
         assert len(seen) == 5
         for thread, started in seen:
             assert thread is threading.current_thread()
             # without psutil the sampler ends at once
-            assert all(isinstance(t, _ResourceSampler) for t in started)
+            assert all(isinstance(t, ResourceSampler) for t in started)
 
     def test_item_hook_rejected_in_virtual_mode(self):
         config = parity_config("virtual")
-        config.workload = replace(config.workload, item_hook=lambda idx: "x")
-        with pytest.raises(ValueError, match="item_hook"):
-            run_scenario(config)
+        with pytest.raises(ParseError, match="item_hook"):
+            replace(config, workload=replace(config.workload, item_hook=lambda idx: "x"))
 
 
 class TestLiveFailures:
@@ -198,7 +206,7 @@ class TestLiveFailures:
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("")
         config = live_edge_config(items=3)
-        config.workload = replace(config.workload, compute_ms=constant(1500))
+        config = replace(config, workload=replace(config.workload, compute_ms=constant(1500)))
         started = time.monotonic()
         with pytest.raises(NotADirectoryError):
             run_scenario(config, persist_blobs=blocker / "blobs")
@@ -211,7 +219,7 @@ class TestLiveFailures:
             return "ok"
 
         config = live_edge_config(items=4, hub={"mode": "batched", "window_s": 5.0})
-        config.workload = replace(config.workload, item_hook=hook)
+        config = replace(config, workload=replace(config.workload, item_hook=hook))
         before = set(threading.enumerate())
         started = time.monotonic()
         with pytest.raises(RuntimeError, match="item 1 failed"):

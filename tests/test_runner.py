@@ -18,10 +18,7 @@ from edgebench.workloads import ResourceProfile
 
 
 def run_fixture(name, **overrides):
-    config = load_fixture(f"scenarios/{name}")
-    for key, value in overrides.items():
-        setattr(config, key, value)
-    return run_scenario(config)
+    return run_scenario(replace(load_fixture(f"scenarios/{name}"), **overrides))
 
 
 def csv_bytes(result):
