@@ -42,6 +42,7 @@ from .hub import Hub, HubPolicy
 from .metrics import (
     EmptyRun,
     IncompleteRecord,
+    MalformedReport,
     MetricRow,
     RunReport,
     RunTable,
@@ -78,6 +79,7 @@ __all__ = [
     "Hub",
     "HubPolicy",
     "IncompleteRecord",
+    "MalformedReport",
     "InvalidDistribution",
     "InvalidRate",
     "Link",

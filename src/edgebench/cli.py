@@ -1,7 +1,8 @@
 """Command-line harness: run scenarios, compare reports, estimate costs.
 
-Subcommands: run, compare, cost, validate, charts. The default output
-directory comes from --out or the EDGEBENCH_OUT environment variable.
+Subcommands: run, compare, cost, validate, charts, fixtures. The
+default output directory comes from --out or the EDGEBENCH_OUT
+environment variable.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .cost import (
     monthly_bandwidth,
 )
 from .core import SimulationError
-from .metrics import report_from_json
+from .metrics import MalformedReport, RunReport, report_from_json
 from .runner import run_scenario, write_artifacts
 
 
@@ -44,6 +45,19 @@ def _load_scenario(args) -> ScenarioConfig:
     config = load_config(config_file(args.config))
     overrides = {"seed": args.seed, "mode": args.mode}
     return replace(config, **{key: value for key, value in overrides.items() if value is not None})
+
+
+def _load_reports(paths: list[str]) -> list[RunReport]:
+    """The reports of ``paths``; a file that cannot be read or holds no report is named in the error."""
+    reports = []
+    for path in paths:
+        try:
+            reports.append(report_from_json(Path(path).read_bytes()))
+        except OSError as exc:
+            raise SimulationError(f"cannot read {path}: {exc.strerror or exc}") from None
+        except MalformedReport as exc:
+            raise MalformedReport(f"{path}: {exc}") from None
+    return reports
 
 
 def cmd_run(args) -> int:
@@ -71,7 +85,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    reports = [report_from_json(Path(p).read_bytes()) for p in args.reports]
+    reports = _load_reports(args.reports)
     base = reports[0]
     base_bytes = base.ledger["total"]["transmitted_bytes"]
     header = f"{'label':<28} {'pipeline':<9} {'mean e2e (ms)':>14} {'transmitted (B)':>16} {'byte ratio':>11}"
@@ -114,7 +128,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_charts(args) -> int:
-    reports = [report_from_json(Path(p).read_bytes()) for p in args.reports]
+    reports = _load_reports(args.reports)
     out_dir = args.out or _default_out()
     written = emit_charts(reports, Path(out_dir) / "charts")
     for path in written:

@@ -292,9 +292,17 @@ class ScenarioConfig:
 
 
 def config_file(name: str | Path, kind: str = "") -> Path:
-    """``name`` if it is a file, else the shipped fixture ``<kind>/<name>`` (e.g. ``scenarios/x``)."""
+    """``name`` if it is a file, else the shipped fixture ``<kind>/<name>`` (e.g. ``scenarios/x``).
+
+    When neither exists, MissingProfile names both lookups.
+    """
     path = Path(name)
-    return path if path.is_file() else fixture_path(str(Path(kind, name)))
+    if path.is_file():
+        return path
+    try:
+        return fixture_path(str(Path(kind, name)))
+    except MissingProfile as exc:
+        raise MissingProfile(f"no file {str(name)!r} and {exc}") from None
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

@@ -25,13 +25,14 @@ SCHEMA_VERSION = 1
 UNSET = -(2**63)  # a RunTable cell not yet written; timestamps can be negative under skew
 # Rows formatted per write; bounds the export's memory. At 1024 rows each
 # of a chunk's buffers stays below glibc's 128 KiB mmap threshold: the
-# writer's three int64 matrices of the chunk's 9 columns (74 KB each), its
-# NUL-padded text, the bytes copy of that and the text without NULs (66, 66
-# and 48 KB on edge-batched; a line reaches 128 B only when fields have 13
-# or more digits). Larger ones were mapped and unmapped, which moves that
-# threshold, and peak RSS then varied by ~4% with the heap's layout alone.
-# One edge-batched chunk peaks at ~300 KB of traced memory (~480 KB with
-# the former `%` writer); tests/test_memory.py bounds it.
+# writer's int64 matrix of the chunk's 9 columns (74 KB), two int64
+# matrices of working space over its varying columns (66 KB each on
+# edge-batched, whose 8 columns vary), its text (58 KB on edge-batched; a
+# line reaches 128 B only when fields average 13 or more digits) and, if a
+# field is padded, the text without NULs (57 KB). Larger ones were mapped
+# and unmapped, which moves that threshold, and peak RSS then varied by
+# ~4% with the heap's layout alone. One edge-batched chunk peaks at ~276 KB
+# of traced memory; tests/test_memory.py bounds it.
 CSV_CHUNK = 1024
 GROUP = 10_000  # the CSV writer's digit groups: four decimal digits each
 # Started rows a report scan reads at a time; bounds its memory. A report
@@ -49,6 +50,10 @@ class IncompleteRecord(SimulationError):
 
 class EmptyRun(SimulationError):
     pass
+
+
+class MalformedReport(SimulationError):
+    """A report.json text that is not a serialized RunReport."""
 
 
 class RunTable:
@@ -286,10 +291,10 @@ def rows_to_csv(table: RunTable, out: BinaryIO) -> None:
 
 
 def _group_words(zero: bytes) -> np.ndarray:
-    """The text of base-10**4 digit groups as uint32 words of four ASCII bytes.
+    """The text of base-10**4 digit groups: a uint8 matrix with one four-byte row per group.
 
-    Index ``q`` in [0, GROUP) is a group below a value's leading group:
-    ``%04d`` of q. Index ``q - GROUP``, negative, is a leading group q:
+    Row ``q`` in [0, GROUP) is a group below a value's leading group:
+    ``%04d`` of q. Row ``q - GROUP``, negative, is a leading group q:
     the same text with its leading zeros NUL bytes, and ``zero`` for
     q = 0, which is a units group of 0 or a group above the leading one.
     """
@@ -298,58 +303,102 @@ def _group_words(zero: bytes) -> np.ndarray:
     text = (digits + ord("0")).astype(np.uint8)
     lead = np.where(np.cumsum(digits, axis=1) > 0, text, 0).astype(np.uint8)
     lead[0] = np.frombuffer(zero, np.uint8)
-    return np.concatenate([text, lead]).view(np.uint32).ravel()  # index q - GROUP counts from the end: lead[q]
+    return np.concatenate([text, lead])  # row q - GROUP counts from the end: lead[q]
+
+
+def _words(table: np.ndarray, width: int) -> np.ndarray:
+    """The last ``width`` bytes of each row of ``table``, one contiguous ``V<width>`` item per row.
+
+    ``take`` copies a table that is not contiguous on every call, so a
+    narrower word is its own small array, not a strided view.
+    """
+    return np.ascontiguousarray(table[:, 4 - width:]).view(f"V{width}")[:, 0]
 
 
 _UNITS = _group_words(b"\0\0\0" b"0")
 _UPPER = _group_words(b"\0\0\0\0")
+# by k > 0 (is the group above the units): the text of a group below a field's top group ...
+_LOWER = (_words(_UNITS, 4), _words(_UPPER, 4))
+# ... and of a top group of r digits, indexed by its value in [0, 10**r): the leading-group rows
+_TOP = tuple({r: _words(table[GROUP:GROUP + 10**r], r) for r in (1, 2, 3, 4)} for table in (_UNITS, _UPPER))
 
 
-def _csv_text(x: np.ndarray) -> bytes:
-    """The CSV lines of an int64 matrix's columns, one column per field, as ``%d`` formats them.
+def _csv_text(x: np.ndarray) -> bytearray:
+    """The CSV lines of an int64 matrix's rows, one row per field, as ``%d`` formats them.
 
-    Each field is a fixed number of bytes in every line: a sign byte if
-    its row of ``x`` has a negative value, then four digits for each
-    base-10**4 group that the row's largest magnitude has, then a comma
-    or, after the last field, a newline. The sign byte is ``-`` or NUL.
-    Groups are split from the exact magnitude by integer division; a
-    value's leading group has its leading zeros as NUL bytes and every
-    group above it is all NUL (:func:`_group_words`). Each field thus
-    holds the ``%d`` text of its value with NUL bytes inserted, and
-    ``%d`` text has no NUL, so deleting every NUL leaves exactly the
-    ``%d`` lines. ``x`` is overwritten.
+    A field whose row holds one value is that value's ``%d`` text in the
+    line template, which also holds the commas and the newline. Every
+    other field is a fixed number of bytes in every line, as many as the
+    row's widest ``%d`` text has: a sign byte if the row has a negative
+    value, ``-`` or NUL, then the magnitude's digits, written by
+    :func:`_fill`. A value with fewer digits than its field has NUL
+    bytes in their place, and ``%d`` text has no NUL, so deleting every
+    NUL leaves exactly the ``%d`` lines. When every varying row has one
+    sign and one digit count, no field is padded and the text is kept as
+    it is. ``x`` is overwritten.
     """
-    minus = x < 0
-    negative = minus.any(axis=1).tolist()
-    if any(negative):
+    template, fields = bytearray(), []  # fields: (end, sign, digits) of each varying row
+    for row, (lo, hi) in enumerate(zip(x.min(axis=1).tolist(), x.max(axis=1).tolist())):
+        if lo == hi:
+            template += b"%d," % lo
+            continue
+        sign, digits = lo < 0, len(str(max(hi, -lo)))
+        template += bytes(sign + digits) + b","
+        if row != len(fields):
+            x[len(fields)] = x[row]  # the varying rows, in order, become the first rows of x
+        fields.append((len(template) - 1, sign, digits))
+    template[-1:] = b"\n"
+    text = template * x.shape[1]
+    if fields:
+        _fill(np.frombuffer(text, np.uint8).reshape(x.shape[1], len(template)), x[:len(fields)], fields)
+    return text.translate(None, b"\0") if b"\0" in text else text
+
+
+def _fill(lines: np.ndarray, x: np.ndarray, fields: list[tuple[int, bool, int]]) -> None:
+    """Write row ``i`` of ``x`` into the field ``fields[i]`` = (end, sign, digits) of each line.
+
+    The digits are split from the exact magnitude into base-10**4
+    groups, units first, by integer division of all rows at once. A
+    field of ``digits`` digits has ``g = ceil(digits / 4)`` groups; its
+    top group holds the ``r`` digits left over above the lower ones, 1
+    to 4, and what is left of a value at that group is already below
+    10**r, so it is looked up with no division as the ``r``-byte
+    leading-group text in ``_TOP``. A lower group is looked up in
+    ``_LOWER``, one ``take`` over all rows per group; a value's leading
+    group has its leading zeros as NUL bytes and every group above it is
+    all NUL (:func:`_group_words`).
+    """
+
+    def field(start, width):
+        return lines[:, start:start + width].view(f"V{width}")[:, 0]
+
+    if any(sign for _, sign, _ in fields):
+        minus = x < 0
         x = x.view(np.uint64)
         np.negative(x, out=x, where=minus)  # the magnitudes, exact for -2**63 too
-    groups = [(len(str(top)) + 3) // 4 for top in x.max(axis=1).tolist()]
-    template, fields = bytearray(), []
-    for neg, g in zip(negative, groups):
-        fields.append(len(template))
-        template += bytes(neg + 4 * g) + b","
-    template[-1:] = b"\n"
-    buf = np.empty((x.shape[1], len(template)), np.uint8)
-    buf[:] = np.frombuffer(template, np.uint8)
-    words = []
-    for c, (start, neg, g) in enumerate(zip(fields, negative, groups)):
-        if neg:
-            np.multiply(minus[c], ord("-"), out=buf[:, start], casting="unsafe")
-        words.append(buf[:, start + neg:start + neg + 4 * g].view(np.uint32))
+        for (end, sign, digits), negative in zip(fields, minus):
+            if sign:
+                np.multiply(negative, ord("-"), out=lines[:, end - digits - 1], casting="unsafe")
+        del minus
+    groups = [(digits + 3) // 4 for _, _, digits in fields]
     low, high, step = x, np.empty_like(x), np.empty_like(x)
     for k in range(max(groups)):
+        for (end, _, digits), g, value in zip(fields, groups, low):
+            if g == k + 1:
+                r = digits - 4 * k
+                _TOP[k > 0][r].take(value, out=field(end - 4 * k - r, r), mode="clip")
+        if k + 1 == max(groups):
+            break
         np.floor_divide(low, GROUP, out=high)
         np.maximum(high, 1, out=step)
         step *= GROUP
-        low -= step  # group q, or q - GROUP if no higher group is nonzero: an index of _group_words
-        table = _UPPER if k else _UNITS
-        for c, g in enumerate(groups):
-            if k < g:
-                np.take(table, low[c].view(np.int64), out=words[c][:, g - 1 - k])
+        low -= step  # group q, or q - GROUP if no higher group is nonzero: a row of _group_words
+        words = step.reshape(-1).view("V4")[:step.size].reshape(step.shape)  # step's bytes, free now
+        _LOWER[k > 0].take(low.view(np.int64), out=words, mode="wrap")
+        for (end, _, _), g, word in zip(fields, groups, words):
+            if g > k + 1:
+                field(end - 4 * (k + 1), 4)[:] = word
         low, high = high, low
-    del x, minus, low, high, step  # freed before the two copies of the text
-    return buf.tobytes().translate(None, b"\0")
 
 
 def report_to_json(report: RunReport) -> bytes:
@@ -358,6 +407,14 @@ def report_to_json(report: RunReport) -> bytes:
 
 
 def report_from_json(data: bytes | str) -> RunReport:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return RunReport.from_dict(json.loads(data))
+    """The RunReport that :func:`report_to_json` wrote; MalformedReport if ``data`` is not one."""
+    try:
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise MalformedReport(f"not a JSON text: {exc}") from None
+    if not isinstance(doc, dict):
+        raise MalformedReport("not a JSON object")
+    missing = [f.name for f in fields(RunReport) if f.name not in doc]
+    if missing:
+        raise MalformedReport(f"missing fields {missing}")
+    return RunReport.from_dict(doc)

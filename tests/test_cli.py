@@ -1,4 +1,4 @@
-"""CLI surface: run/compare/cost/validate/charts subcommands."""
+"""CLI surface: run/compare/cost/validate/charts/fixtures subcommands."""
 
 import re
 
@@ -66,6 +66,12 @@ class TestRun:
         assert code == 2
         assert "bogus" in err
 
+    def test_missing_config_path_names_both_lookups(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing" / "x.yaml")
+        code, _, err = run_cli(capsys, "run", "--config", missing, "--out", str(tmp_path))
+        assert code == 2
+        assert err.strip() == f"error: no file {missing!r} and no shipped fixture named {missing!r}"
+
     @pytest.mark.parametrize("fixture, overrides", [
         ("greengrass-image", "workload: {compute_ms: {constant: 1.0e+19}}"),
         # a one-item run draws its item's gap like any other
@@ -94,6 +100,32 @@ class TestCompare:
         assert code == 0
         ratio = float(out.strip().splitlines()[-1].split()[-1])
         assert abs(ratio - 81) <= 8
+
+
+def unreadable_reports(tmp_path):
+    """(path, what the error must say) for report.json arguments that are no report."""
+    not_json = tmp_path / "not-json.json"
+    not_json.write_text("{")
+    no_label = tmp_path / "no-label.json"
+    no_label.write_text('{"pipeline": "edge"}')
+    return [
+        (tmp_path / "missing.json", "cannot read {path}: No such file or directory"),
+        (tmp_path, "cannot read {path}: Is a directory"),
+        (not_json, "{path}: not a JSON text: "),
+        (no_label, "{path}: missing fields ['label', "),
+    ]
+
+
+@pytest.mark.parametrize("command", ["compare", "charts"])
+def test_unreadable_report_is_an_error_not_a_traceback(capsys, tmp_path, command):
+    run_cli(capsys, "run", "--config", "scenarios/greengrass-audio", "--out", str(tmp_path / "a"))
+    for path, message in unreadable_reports(tmp_path):
+        code, out, err = run_cli(capsys, command, str(tmp_path / "a/report.json"), str(path),
+                                 *(["--out", str(tmp_path / "c")] if command == "charts" else []))
+        assert code == 2
+        assert err.startswith("error: " + message.format(path=path)), err
+        assert not out
+    assert not (tmp_path / "c").exists()
 
 
 class TestCost:

@@ -68,21 +68,29 @@ EDGES = (0, 1, -1, 9999, 10_000, -10_000, INT64_MAX, -INT64_MAX, -INT64_MAX - 1)
 def int64_tables(draw):
     """A RunTable of any int64 values, some of its rows dropped.
 
-    Each column is arbitrary int64, values of one digit count and either
-    sign, EDGES, or a timeline shifted below zero as negative clock skew
-    leaves it, with a few cells set to drawn int64 values.
+    Each column is arbitrary int64, values of at most one digit count and
+    either sign, values of exactly one digit count and one sign (a field
+    with no padding), one value (a field the line template holds), EDGES,
+    or a timeline shifted below zero as negative clock skew leaves it,
+    with a few cells set to drawn int64 values.
     """
     n = draw(st.sampled_from([1, 2, 9, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1, 2 * CSV_CHUNK + 3]))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     table = RunTable(n)
     table.started = n
     for name in ("c_edge", "t1", "t2", "t3", "payload"):
-        kind = draw(st.sampled_from(["int64", "digits", "edges", "skewed"]))
+        kind = draw(st.sampled_from(["int64", "digits", "exact", "constant", "edges", "skewed"]))
         if kind == "int64":
             values = gen.integers(-INT64_MAX - 1, INT64_MAX, n, endpoint=True)
         elif kind == "digits":
             bound = 10 ** draw(st.integers(1, 18))
             values = gen.integers(1 - bound, bound, n)
+        elif kind == "exact":
+            digits = draw(st.integers(1, 19))
+            values = gen.integers(10 ** (digits - 1), min(10**digits - 1, INT64_MAX), n, endpoint=True)
+            values = -values if draw(st.booleans()) else values
+        elif kind == "constant":
+            values = draw(st.one_of(st.sampled_from(EDGES), st.integers(-INT64_MAX - 1, INT64_MAX)))
         elif kind == "edges":
             values = gen.choice(EDGES, n)
         else:
@@ -98,6 +106,30 @@ def int64_tables(draw):
     elif drops == "block":  # a CSV_CHUNK block with no delivered row
         start = CSV_CHUNK * draw(st.integers(0, (n - 1) // CSV_CHUNK))
         table.dropped[start:start + CSV_CHUNK] = True
+    return table
+
+
+def one_delivered_per_chunk(messages):
+    """A RunTable whose every CSV_CHUNK block delivers one message, so all nine CSV columns are constant in it."""
+    table = table_of([messages[i // CSV_CHUNK] if i % CSV_CHUNK == 7 else (0, 0, 0, 0, 0)
+                      for i in range(CSV_CHUNK * (len(messages) - 1) + 8)])
+    table.dropped[:] = True
+    table.dropped[7::CSV_CHUNK] = False
+    return table
+
+
+def crossing_table(n=10 * CSV_CHUNK):
+    """A RunTable whose columns cross a digit count inside one chunk: 9999 -> 10000, or -9999 -> -10000.
+
+    id, t1 and t2 cross in the chunk of ids 9216..10239; c_edge,
+    residence_ms and payload_bytes alternate across it in every chunk.
+    """
+    table = RunTable(n)
+    table.started = n
+    i = np.arange(n)
+    alternate = 9999 + i % 2
+    table.c_edge[:], table.t1[:], table.t2[:], table.t3[:], table.payload[:] = (
+        alternate, i, i + 1, i + 1 + alternate, -alternate)
     return table
 
 
@@ -225,6 +257,12 @@ class TestExport:
         (-INT64_MAX - 1, INT64_MAX, INT64_MAX, INT64_MAX, INT64_MAX),
         (INT64_MAX, -INT64_MAX - 1, -INT64_MAX - 1, -INT64_MAX - 1, -INT64_MAX - 1),
     ]))
+    @example(one_delivered_per_chunk([  # every field of every chunk is in its line template
+        (5, 10, 20, 40, 500),
+        (0, -INT64_MAX - 1, INT64_MAX, -1, 0),
+        (INT64_MAX, 9999, 10_000, -10_000, -INT64_MAX - 1),
+    ]))
+    @example(crossing_table())
     def test_csv_equals_percent_d_on_any_int64_table(self, table):
         assert csv_bytes(table) == percent_d_csv(table)
 
