@@ -42,7 +42,6 @@ from .hub import Hub, HubPolicy
 from .metrics import (
     EmptyRun,
     IncompleteRecord,
-    MalformedReport,
     MetricRow,
     RunReport,
     RunTable,
@@ -79,7 +78,6 @@ __all__ = [
     "Hub",
     "HubPolicy",
     "IncompleteRecord",
-    "MalformedReport",
     "InvalidDistribution",
     "InvalidRate",
     "Link",

@@ -107,26 +107,14 @@ def grouped_bar_svg(title: str, groups: list[str], series: list[tuple[str, dict]
 
 
 def _metric_value(report: RunReport, metric: str) -> float | None:
+    """The metric's mean, or None for a resource the report has no summary of."""
     if metric in report.aggregates:
         return report.aggregates[metric]["mean"]
-    if report.resources is None:
-        return None
-    if metric == "cpu_pct":
-        return report.resources.get("cpu_pct_mean")
-    if metric == "ram_mb":
-        return report.resources.get("ram_mb_mean")
-    return None
-
-
-def _workload_kind(report: RunReport) -> str:
-    try:
-        return report.config["workload"]["kind"]
-    except (KeyError, TypeError):
-        return "run"
+    return (report.resources or {}).get(f"{metric}_mean")
 
 
 def _platform(report: RunReport) -> str:
-    return report.config.get("platform_profile") or report.label
+    return report.config.platform_profile or report.label
 
 
 def emit_charts(reports: list[RunReport], out_dir: str | Path) -> list[Path]:
@@ -135,7 +123,7 @@ def emit_charts(reports: list[RunReport], out_dir: str | Path) -> list[Path]:
         raise EmptyInput("emit_charts needs at least one report")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    groups = sorted({_workload_kind(r) for r in reports})
+    groups = sorted({r.config.workload.kind for r in reports})
     platforms = sorted({_platform(r) for r in reports})
     written = []
     for metric in CHART_METRICS:
@@ -147,7 +135,7 @@ def emit_charts(reports: list[RunReport], out_dir: str | Path) -> list[Path]:
                     continue
                 value = _metric_value(report, metric)
                 if value is not None:
-                    values[_workload_kind(report)] = value
+                    values[report.config.workload.kind] = value
             if values:
                 series.append((platform, values))
         if not series:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .charts import emit_charts
 from .config import (
+    ParseError,
     ScenarioConfig,
     config_file,
     list_fixtures,
@@ -32,7 +33,7 @@ from .cost import (
     monthly_bandwidth,
 )
 from .core import SimulationError
-from .metrics import MalformedReport, RunReport, report_from_json
+from .metrics import RunReport, report_from_json
 from .runner import run_scenario, write_artifacts
 
 
@@ -55,8 +56,8 @@ def _load_reports(paths: list[str]) -> list[RunReport]:
             reports.append(report_from_json(Path(path).read_bytes()))
         except OSError as exc:
             raise SimulationError(f"cannot read {path}: {exc.strerror or exc}") from None
-        except MalformedReport as exc:
-            raise MalformedReport(f"{path}: {exc}") from None
+        except SimulationError as exc:
+            raise ParseError(f"{path}: {exc}") from None
     return reports
 
 

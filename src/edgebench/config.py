@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from decimal import Decimal
@@ -111,6 +112,9 @@ def _resolve_extends(path: Path, _seen: tuple = ()) -> dict:
 # the top level's those of ScenarioConfig; a field whose type is a
 # dataclass is a nested section, a field without a default is a required
 # key, and a field with metadata {"config": False} is not a config key.
+# report.json is read the same way: metrics.RunReport is its top level
+# and its sections are TypedDicts, whose keys are required unless
+# declared total=False.
 
 _DIST_KINDS = ("constant", "uniform", "normal", "empirical")
 _EXPECTED = {bool: "true or false", str: "a string", int: "an integer", float: "a finite number",
@@ -119,11 +123,12 @@ _EXPECTED = {bool: "true or false", str: "a string", int: "an integer", float: "
 
 @functools.cache
 def _field_types(cls) -> dict:
-    """Config key -> type of each config field of a dataclass (``X | None`` as ``X``)."""
+    """Key -> type of each config field of a dataclass or key of a TypedDict (``X | None`` as ``X``)."""
     hints = typing.get_type_hints(cls)
-    return {f.name: next((t for t in typing.get_args(hints[f.name]) if t is not type(None)),
-                         hints[f.name])
-            for f in fields(cls) if f.metadata.get("config", True)}
+    keys = [f.name for f in fields(cls) if f.metadata.get("config", True)] if is_dataclass(cls) else hints
+    return {key: next(t for t in typing.get_args(hints[key]) if t is not type(None))
+            if typing.get_origin(hints[key]) in (typing.Union, types.UnionType) else hints[key]
+            for key in keys}
 
 
 def parse_distribution(value, where: str) -> Distribution:
@@ -156,15 +161,20 @@ def parse_distribution(value, where: str) -> Distribution:
 def _convert(tp, value, where: str):
     """``value`` as a config field of type ``tp``; ParseError naming ``where`` if it is none.
 
-    A distribution or a section is parsed as one. Booleans and strings
-    are taken as they are, a boolean is not a number, an integer field
-    refuses a fractional value, and a number must be finite. Decimals
-    are read from the value's text, so ``0.1`` stays exact.
+    A distribution or a section is parsed as one, a ``dict[str, X]`` value
+    by value. Booleans and strings are taken as they are, a boolean is not
+    a number, an integer field refuses a fractional value, and a number
+    must be finite. Decimals are read from the value's text, so ``0.1``
+    stays exact.
     """
     if tp is Distribution:
         return parse_distribution(value, where)
-    if is_dataclass(tp):
+    if is_dataclass(tp) or typing.is_typeddict(tp):
         return _build_section(tp, value, where)
+    if typing.get_origin(tp) is dict:
+        if not isinstance(value, dict):
+            raise ParseError(f"{where} must be a mapping, got {value!r}")
+        return {key: _convert(typing.get_args(tp)[1], item, f"{where}.{key}") for key, item in value.items()}
     if tp is bool or tp is str:
         if isinstance(value, tp):
             return value
@@ -181,25 +191,28 @@ def _convert(tp, value, where: str):
 
 
 def _build_section(cls, mapping, section: str = ""):
-    """An instance of the dataclass ``cls`` from its config mapping.
+    """An instance of the dataclass or TypedDict ``cls`` from its mapping.
 
-    Absent and null keys keep their defaults; a key without a default is
-    required. ``section`` names the mapping in errors ("" at the top level).
+    Absent and null keys keep their defaults; a field without a default,
+    or a TypedDict's required key, is required. ``section`` names the
+    mapping in errors ("" at the top level).
     """
     if not isinstance(mapping, dict):
         raise ParseError(f"{section} must be a mapping, got {mapping!r}")
     prefix = f"{section}." if section else ""
-    types = _field_types(cls)
+    key_types = _field_types(cls)
     values = {}
     for key, value in mapping.items():
         where = f"{prefix}{key}"
-        if key not in types:
-            raise UnknownKey(f"unknown config key: {where!r}")
+        if key not in key_types:
+            raise UnknownKey(f"unknown key: {where!r}")
         if value is not None:
-            values[key] = _convert(types[key], value, where)
-    for f in fields(cls):
-        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
-            raise ParseError(f"{prefix}{f.name} is required")
+            values[key] = _convert(key_types[key], value, where)
+    required = (cls.__required_keys__ if typing.is_typeddict(cls) else
+                {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING})
+    for key in key_types:  # in declaration order
+        if key in required and key not in values:
+            raise ParseError(f"{prefix}{key} is required")
     try:
         return cls(**values)
     except (ValueError, ArithmeticError) as exc:
@@ -207,7 +220,7 @@ def _build_section(cls, mapping, section: str = ""):
 
 
 def _section_dict(obj) -> dict | None:
-    """A section's config fields as a config file writes them."""
+    """A section's config fields as a config file, or report.json, writes them."""
     if obj is None:
         return None
     values = {name: getattr(obj, name) for name in _field_types(type(obj))}
@@ -283,7 +296,7 @@ class ScenarioConfig:
             object.__setattr__(self, "label", f"{self.platform_profile}/{self.workload.kind}")
 
     def to_dict(self) -> dict:
-        """Canonical resolved form, embedded in reports for reproducibility."""
+        """Canonical resolved form, as a report embeds it and fingerprints it."""
         return _section_dict(self)
 
     @classmethod

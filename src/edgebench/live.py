@@ -27,6 +27,8 @@ import time
 
 import numpy as np
 
+from .metrics import Resources
+
 
 class WallClock:
     """Milliseconds since the run began, with the interface of ``core.Clock``."""
@@ -84,7 +86,7 @@ class ResourceSampler(threading.Thread):
             self.cpu.append(self._proc.cpu_percent(None))
             self.ram.append(self._proc.memory_info().rss / (1024 * 1024))
 
-    def summary(self) -> dict:
+    def summary(self) -> Resources:
         if self._proc is None:
             return {"mode": "unavailable", "reason": "psutil is not installed"}
         if not self.cpu:

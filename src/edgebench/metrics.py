@@ -12,15 +12,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields
-from typing import BinaryIO, Iterator
+from dataclasses import dataclass
+from typing import BinaryIO, Iterator, TypedDict
 
 import numpy as np
 
+from .config import ParseError, ScenarioConfig, _build_section, _section_dict
 from .core import SimulationError
+from .network import Ledger
 
 CSV_COLUMNS = ("id", "c_edge_ms", "t1", "t2", "t3", "flight_ms", "residence_ms", "e2e_ms", "payload_bytes")
-METRIC_NAMES = ("c_edge_ms", "flight_ms", "residence_ms", "e2e_ms", "payload_bytes")
 SCHEMA_VERSION = 1
 UNSET = -(2**63)  # a RunTable cell not yet written; timestamps can be negative under skew
 # Rows formatted per write; bounds the export's memory. At 1024 rows each
@@ -50,10 +51,6 @@ class IncompleteRecord(SimulationError):
 
 class EmptyRun(SimulationError):
     pass
-
-
-class MalformedReport(SimulationError):
-    """A report.json text that is not a serialized RunReport."""
 
 
 class RunTable:
@@ -164,13 +161,16 @@ def _scan(table: RunTable, visit) -> None:
         visit(_columns(table, ids))
 
 
-def _summaries(table: RunTable, n: int) -> dict[str, dict]:
-    """Mean, nearest-rank median and p95 of each metric over the ``n`` delivered messages.
+def aggregate(table: RunTable) -> Aggregates:
+    """Mean, nearest-rank median and p95 of each metric over the delivered messages of a run.
 
     The mean divides the exact integer sum. The median and p95 are
     selected by :class:`_Rank` passes, so memory stays one block and one
     histogram per rank, whatever the run's length.
     """
+    n = table.started - int(np.count_nonzero(table.column("dropped")))
+    if not n:
+        raise EmptyRun("cannot aggregate an empty run")
     total = dict.fromkeys(METRIC_NAMES, 0)
     low, high = {}, {}
 
@@ -209,6 +209,39 @@ def _summaries(table: RunTable, n: int) -> dict[str, dict]:
                    "p95": float(ranks[name, 95].lo)} for name in METRIC_NAMES}
 
 
+# --- report.json: RunReport is its schema, read by config.py's reader like a
+# config. Its sections are TypedDicts (Ledger is network.py's), so they stay
+# plain dicts in memory.
+
+class Summary(TypedDict):
+    mean: float
+    median: float
+    p95: float
+
+
+class Aggregates(TypedDict):
+    """A Summary of each metric over the delivered messages."""
+
+    c_edge_ms: Summary
+    flight_ms: Summary
+    residence_ms: Summary
+    e2e_ms: Summary
+    payload_bytes: Summary
+
+
+METRIC_NAMES = tuple(Aggregates.__annotations__)
+
+
+class Resources(TypedDict, total=False):
+    """``mode`` modeled or measured with the rest, or unavailable with a ``reason``."""
+
+    mode: str
+    cpu_pct_mean: float
+    ram_mb_mean: float
+    samples: int
+    reason: str
+
+
 @dataclass
 class RunReport:
     """Aggregated outcome of one run, reproducible from seed + config."""
@@ -216,65 +249,28 @@ class RunReport:
     label: str
     pipeline: str
     seed: int
-    config: dict
-    aggregates: dict[str, dict]
-    ledger: dict
-    resources: dict | None
+    config: ScenarioConfig
+    aggregates: Aggregates
+    ledger: Ledger
     message_count: int
     blob_count: int
     dropped_count: int
     duration_ms: int
+    resources: Resources | None = None
     fingerprint: str = ""
     schema: int = SCHEMA_VERSION
 
     def __post_init__(self):
+        if self.schema != SCHEMA_VERSION:
+            raise ValueError(f"schema must be {SCHEMA_VERSION}, got {self.schema}")
         if not self.fingerprint:
-            self.fingerprint = config_fingerprint(self.config)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RunReport":
-        return cls(**{f.name: doc[f.name] for f in fields(cls)})
+            self.fingerprint = config_fingerprint(self.config.to_dict())
 
 
 def config_fingerprint(config: dict) -> str:
     """Stable hash of a resolved config; invariant under re-serialization."""
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def aggregate(
-    table: RunTable,
-    *,
-    label: str = "run",
-    pipeline: str = "edge",
-    seed: int = 0,
-    config: dict | None = None,
-    ledger: dict | None = None,
-    resources: dict | None = None,
-    blob_count: int = 0,
-    duration_ms: int = 0,
-) -> RunReport:
-    """Aggregate the delivered messages of a run table into a RunReport (mean / median / p95)."""
-    dropped = int(np.count_nonzero(table.column("dropped")))
-    n = table.started - dropped
-    if not n:
-        raise EmptyRun("cannot aggregate an empty run")
-    return RunReport(
-        label=label,
-        pipeline=pipeline,
-        seed=seed,
-        config=config or {},
-        aggregates=_summaries(table, n),
-        ledger=ledger or {"sources": {}, "total": {"payload_bytes": 0, "overhead_bytes": 0, "transmitted_bytes": 0}},
-        resources=resources,
-        message_count=n,
-        blob_count=blob_count,
-        dropped_count=dropped,
-        duration_ms=duration_ms,
-    )
 
 
 def rows_to_csv(table: RunTable, out: BinaryIO) -> None:
@@ -403,18 +399,13 @@ def _fill(lines: np.ndarray, x: np.ndarray, fields: list[tuple[int, bool, int]])
 
 def report_to_json(report: RunReport) -> bytes:
     """Round-trippable JSON with explicit nulls for absent fields."""
-    return (json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return (json.dumps(_section_dict(report), indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 def report_from_json(data: bytes | str) -> RunReport:
-    """The RunReport that :func:`report_to_json` wrote; MalformedReport if ``data`` is not one."""
+    """The RunReport that :func:`report_to_json` wrote; else ParseError naming a bad key's dotted path."""
     try:
-        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+        doc = json.loads(data)
     except ValueError as exc:  # not UTF-8, or not JSON
-        raise MalformedReport(f"not a JSON text: {exc}") from None
-    if not isinstance(doc, dict):
-        raise MalformedReport("not a JSON object")
-    missing = [f.name for f in fields(RunReport) if f.name not in doc]
-    if missing:
-        raise MalformedReport(f"missing fields {missing}")
-    return RunReport.from_dict(doc)
+        raise ParseError(f"not a JSON text: {exc}") from None
+    return _build_section(RunReport, doc, "report")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TypedDict
 
 import numpy as np
 
@@ -102,7 +103,20 @@ class Link:
         return kept, arrival
 
 
-def ledger_report(ledger: ByteLedger) -> dict:
+class ByteTotals(TypedDict):
+    payload_bytes: int
+    overhead_bytes: int
+    transmitted_bytes: int  # payload + overhead
+
+
+class Ledger(TypedDict):
+    """The ledger section of report.json: byte totals per source and over all sources."""
+
+    sources: dict[str, ByteTotals]
+    total: ByteTotals
+
+
+def ledger_report(ledger: ByteLedger) -> Ledger:
     """Per-source and grand byte totals; transmitted = payload + overhead."""
     sources = sorted(ledger.sources.items())
     return {
@@ -112,7 +126,7 @@ def ledger_report(ledger: ByteLedger) -> dict:
     }
 
 
-def _byte_totals(payload_bytes: int, overhead_bytes: int) -> dict:
+def _byte_totals(payload_bytes: int, overhead_bytes: int) -> ByteTotals:
     return {
         "payload_bytes": payload_bytes,
         "overhead_bytes": overhead_bytes,

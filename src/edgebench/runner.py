@@ -36,7 +36,7 @@ from .cloud import time_cloud_item
 from .config import ScenarioConfig
 from .core import Clock, EventLoop, SeededRng, sample_rows, to_ms
 from .hub import Hub
-from .metrics import (MetricRow, RunReport, RunTable, aggregate, finalize_row, metric_rows,
+from .metrics import (MetricRow, Resources, RunReport, RunTable, aggregate, finalize_row, metric_rows,
                       report_to_json, rows_to_csv)
 from .network import ByteLedger, Link, ledger_report
 from .storage import BlobStore
@@ -105,17 +105,11 @@ def run_scenario(config: ScenarioConfig, persist_blobs: str | Path | None = None
     finalize_row(table)
     if store.persist_dir is not None:
         store.mirror()
-    report = aggregate(
-        table,
-        label=config.label,
-        pipeline=config.pipeline,
-        seed=seed,
-        config=config.to_dict(),
-        ledger=ledger_report(ledger),
-        resources=resources,
-        blob_count=len(store),
-        duration_ms=duration_ms,
-    )
+    dropped = int(np.count_nonzero(table.column("dropped")))
+    report = RunReport(label=config.label, pipeline=config.pipeline, seed=seed, config=config,
+                       aggregates=aggregate(table), ledger=ledger_report(ledger),
+                       message_count=table.started - dropped, blob_count=len(store), dropped_count=dropped,
+                       duration_ms=duration_ms, resources=resources)
     return RunResult(report=report, table=table, store=store)
 
 
@@ -174,7 +168,7 @@ def _cloud_step(config: ScenarioConfig, root: SeededRng, ledger: ByteLedger, tab
     return step
 
 
-def _replay_resources(config: ScenarioConfig, root: SeededRng, duration_ms: int) -> dict | None:
+def _replay_resources(config: ScenarioConfig, root: SeededRng, duration_ms: int) -> Resources | None:
     """Replay the configured resource profile at 1 s virtual cadence.
 
     Each mean is the left-to-right ``+=`` sum of ``n`` per-second samples
@@ -228,7 +222,7 @@ def _running_sum(total: float, values: np.ndarray) -> float:
     return float(np.add.accumulate(np.concatenate(([total], values)))[-1])
 
 
-def write_artifacts(result: RunResult, out_dir: str | Path, charts: bool = True) -> dict[str, Path]:
+def write_artifacts(result: RunResult, out_dir: str | Path) -> dict[str, Path]:
     """Write metrics.csv, report.json, and charts under ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -240,10 +234,8 @@ def write_artifacts(result: RunResult, out_dir: str | Path, charts: bool = True)
     json_path = out / "report.json"
     json_path.write_bytes(report_to_json(result.report))
     paths["json"] = json_path
-    if charts:
-        from .charts import emit_charts
+    from .charts import emit_charts
 
-        chart_dir = out / "charts"
-        for path in emit_charts([result.report], chart_dir):
-            paths[path.stem] = path
+    for path in emit_charts([result.report], out / "charts"):
+        paths[path.stem] = path
     return paths

@@ -155,13 +155,13 @@ def test_criterion_9_mean_statistics_oracle():
         table.c_edge[i], table.t1[i], table.t2[i] = c, t1, t1 + flight
         table.t3[i], table.payload[i] = t1 + flight + residence, int(rng.uniform(100, 1000))
     finalize_row(table)
-    report = aggregate(table)
+    aggregates = aggregate(table)
     rows = metric_rows(table)
     ok = True
     for metric in ("c_edge_ms", "flight_ms", "residence_ms", "e2e_ms", "payload_bytes"):
         values = [getattr(r, metric) for r in rows]
         brute_mean = sum(values) / len(values)  # independent recomputation
         brute_median = sorted(values)[(len(values) + 1) // 2 - 1]
-        agg = report.aggregates[metric]
+        agg = aggregates[metric]
         ok = ok and abs(agg["mean"] - brute_mean) < 0.5 and agg["median"] == brute_median
     _criterion(9, ok, "aggregate mean/median match brute-force recomputation to the ms")

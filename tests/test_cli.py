@@ -1,10 +1,23 @@
 """CLI surface: run/compare/cost/validate/charts/fixtures subcommands."""
 
+import contextlib
+import copy
+import functools
+import io
+import json
 import re
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edgebench.cli import main
+from edgebench.config import load_fixture
+from edgebench.metrics import report_to_json
+from edgebench.runner import run_scenario
 from test_config import NON_FINITE_OR_MISTYPED
 
 
@@ -112,7 +125,7 @@ def unreadable_reports(tmp_path):
         (tmp_path / "missing.json", "cannot read {path}: No such file or directory"),
         (tmp_path, "cannot read {path}: Is a directory"),
         (not_json, "{path}: not a JSON text: "),
-        (no_label, "{path}: missing fields ['label', "),
+        (no_label, "{path}: report.label is required"),
     ]
 
 
@@ -126,6 +139,84 @@ def test_unreadable_report_is_an_error_not_a_traceback(capsys, tmp_path, command
         assert err.startswith("error: " + message.format(path=path)), err
         assert not out
     assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("command", ["compare", "charts"])
+def test_report_of_another_schema_is_an_error(capsys, tmp_path, command):
+    run_cli(capsys, "run", "--config", "scenarios/greengrass-audio", "--out", str(tmp_path / "a"))
+    path = tmp_path / "a/report.json"
+    path.write_text(path.read_text().replace('"schema": 1', '"schema": 2'))
+    code, out, err = run_cli(capsys, command, str(path),
+                             *(["--out", str(tmp_path / "c")] if command == "charts" else []))
+    assert (code, out, err) == (2, "", f"error: {path}: report: schema must be 1, got 2\n")
+
+
+DELETE = object()
+DISTRIBUTION_KINDS = {"constant", "uniform", "normal", "empirical"}
+
+
+@functools.cache
+def real_report(fixture: str) -> dict:
+    config = load_fixture(f"scenarios/{fixture}")
+    config = replace(config, workload=replace(config.workload, items=20))
+    return json.loads(report_to_json(run_scenario(config).report))
+
+
+def nested_keys(doc: dict, path: str = ""):
+    """The dotted path of each key of ``doc`` and below it; a distribution is one value."""
+    for key, value in doc.items():
+        yield path + key
+        if isinstance(value, dict) and not (len(value) == 1 and set(value) <= DISTRIBUTION_KINDS):
+            yield from nested_keys(value, f"{path}{key}.")
+
+
+def required(path: str) -> bool:
+    """Whether a report must hold the key: all of the aggregates and the ledger's but a source's
+    name, none of the resources, and the config keys without a default."""
+    parts = path.split(".")
+    if parts[0] in ("aggregates", "ledger"):
+        return parts[:2] != ["ledger", "sources"] or len(parts) != 3
+    return path in ("config", "config.pipeline", "config.workload", "config.workload.items")
+
+
+def report_edits() -> list:
+    """(fixture, path, new value or DELETE): every required nested key deleted, every nested key
+    retyped to a list, which no key of a report holds."""
+    edits = []
+    for fixture in ("greengrass-audio", "aws-cloud-image"):
+        doc = real_report(fixture)
+        for section in ("aggregates", "ledger", "resources", "config"):
+            for path in nested_keys({section: doc[section]}):
+                edits += [(fixture, path, [])] + [(fixture, path, DELETE)] * required(path)
+    return edits
+
+
+@settings(max_examples=500)  # above the edit count, so every edit is drawn once
+@given(st.deferred(lambda: st.sampled_from(report_edits())))
+@example(("greengrass-audio", "aggregates", {}))
+@example(("greengrass-audio", "ledger.total", {}))
+@example(("greengrass-audio", "config", {}))
+def test_malformed_nested_key_is_named(edit):
+    fixture, path, value = edit
+    doc = copy.deepcopy(real_report(fixture))
+    *parents, key = path.split(".")
+    section = functools.reduce(dict.__getitem__, parents, doc)
+    if value is DELETE:
+        del section[key]
+    else:
+        section[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        report = Path(tmp, "report.json")
+        report.write_text(json.dumps(doc))
+        for argv in (["compare", str(report)], ["charts", str(report), "--out", tmp]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code == 2
+            assert re.match(rf"error: {re.escape(str(report))}: .*report\.{re.escape(path)}[.: ]",
+                            err.getvalue()), err.getvalue()
+            assert not out.getvalue()
+        assert not Path(tmp, "charts").exists()
 
 
 class TestCost:

@@ -114,7 +114,7 @@ def blob_listing(store) -> bytes:
 
 def digests(case: int, out_dir: Path) -> list[str]:
     result = run_scenario(ScenarioConfig.from_dict(make_config(case)))
-    paths = write_artifacts(result, out_dir, charts=False)
+    paths = write_artifacts(result, out_dir)
     return [hashlib.sha256(data).hexdigest() for data in
             (paths["csv"].read_bytes(), paths["json"].read_bytes(), blob_listing(result.store))]
 

@@ -55,7 +55,7 @@ def test_every_shipped_scenario_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_artifact_digests(name, tmp_path):
-    paths = write_artifacts(run_scenario(load_fixture(f"scenarios/{name}")), tmp_path, charts=False)
+    paths = write_artifacts(run_scenario(load_fixture(f"scenarios/{name}")), tmp_path)
     digests = tuple(hashlib.sha256(paths[key].read_bytes()).hexdigest() for key in ("csv", "json"))
     assert digests == GOLDEN[name]
 

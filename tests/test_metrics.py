@@ -4,12 +4,14 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from edgebench.config import load_fixture
 from edgebench.core import SeededRng
 from edgebench.metrics import (
     CSV_CHUNK,
@@ -27,6 +29,7 @@ from edgebench.metrics import (
     report_to_json,
     rows_to_csv,
 )
+from edgebench.runner import run_scenario
 
 
 def table_of(messages):
@@ -38,6 +41,11 @@ def table_of(messages):
             if value is not None:
                 getattr(table, name)[mid] = value
     return table
+
+
+def small_report(**overrides):
+    config = load_fixture("scenarios/greengrass-audio")
+    return run_scenario(replace(config, workload=replace(config.workload, items=50), **overrides)).report
 
 
 def row_from(c_edge, t1, t2, t3, payload=100):
@@ -173,32 +181,30 @@ class TestAggregate:
         return table_of([(0, 0, 0, v, 100) for v in values])
 
     def test_simple_mean_median(self):
-        report = aggregate(self.rows_with_e2e([10, 20, 30]))
-        assert report.aggregates["e2e_ms"]["mean"] == 20
-        assert report.aggregates["e2e_ms"]["median"] == 20
+        agg = aggregate(self.rows_with_e2e([10, 20, 30]))["e2e_ms"]
+        assert agg["mean"] == 20
+        assert agg["median"] == 20
 
     def test_single_row(self):
-        report = aggregate(self.rows_with_e2e([42]))
-        agg = report.aggregates["e2e_ms"]
+        agg = aggregate(self.rows_with_e2e([42]))["e2e_ms"]
         assert agg["mean"] == agg["median"] == agg["p95"] == 42
 
     def test_uniform_flight_mean_against_oracle(self):
         rng = SeededRng(12)
         flights = [int(rng.uniform(0, 100)) for _ in range(10_000)]
-        report = aggregate(table_of([(0, 0, f, f, 100) for f in flights]))
-        assert abs(report.aggregates["flight_ms"]["mean"] - 50) <= 1
-        assert abs(report.aggregates["flight_ms"]["mean"] - float(np.mean(flights))) < 1e-9
+        mean = aggregate(table_of([(0, 0, f, f, 100) for f in flights]))["flight_ms"]["mean"]
+        assert abs(mean - 50) <= 1
+        assert abs(mean - float(np.mean(flights))) < 1e-9
 
     def test_permutation_invariance(self):
         messages = synthetic_messages(500, seed=3)
-        fwd = aggregate(table_of(messages)).aggregates
-        rev = aggregate(table_of(messages[::-1])).aggregates
+        fwd = aggregate(table_of(messages))
+        rev = aggregate(table_of(messages[::-1]))
         assert fwd == rev
 
     def test_means_divide_exact_integer_sums(self):
         values = [2**62, 2**62 + 1, 3, 2**61]  # their sum overflows int64
-        report = aggregate(self.rows_with_e2e(values))
-        assert report.aggregates["e2e_ms"]["mean"] == sum(values) / len(values)
+        assert aggregate(self.rows_with_e2e(values))["e2e_ms"]["mean"] == sum(values) / len(values)
 
     @pytest.mark.parametrize("n", [1, 2, 7, SCAN_ROWS, SCAN_ROWS + 1, 3 * SCAN_ROWS + 5])
     @pytest.mark.parametrize("spread", [0, 3, 10**6, 2**61])
@@ -210,7 +216,7 @@ class TestAggregate:
         table.dropped[gen.random(n) < 0.1] = True
         table.dropped[0] = False
         values = sorted(e2e[~table.dropped].tolist())
-        agg = aggregate(table).aggregates["e2e_ms"]
+        agg = aggregate(table)["e2e_ms"]
         # nearest rank: the value at rank ceil(pct/100 * n), 1-based
         assert agg["median"] == float(values[max(1, math.ceil(50 / 100.0 * len(values))) - 1])
         assert agg["p95"] == float(values[max(1, math.ceil(95 / 100.0 * len(values))) - 1])
@@ -222,7 +228,7 @@ class TestAggregate:
 
     def test_nearest_rank_definition(self):
         # ranks ceil(0.5 * 5) = 3 and ceil(0.95 * 5) = 5, whatever the order of the rows
-        agg = aggregate(self.rows_with_e2e([40, 15, 50, 35, 20])).aggregates["e2e_ms"]
+        agg = aggregate(self.rows_with_e2e([40, 15, 50, 35, 20]))["e2e_ms"]
         assert agg["median"] == 35
         assert agg["p95"] == 50
 
@@ -267,13 +273,11 @@ class TestExport:
         assert csv_bytes(table) == percent_d_csv(table)
 
     def test_json_round_trip(self):
-        report = aggregate(table_of(synthetic_messages(50)), label="rt", seed=5,
-                           config={"pipeline": "edge", "workload": {"kind": "audio"}})
+        report = small_report()
         assert report_from_json(report_to_json(report)) == report
 
     def test_explicit_nulls(self):
-        report = aggregate(table_of(synthetic_messages(3)))
-        doc = json.loads(report_to_json(report))
+        doc = json.loads(report_to_json(small_report(resources=None)))
         assert doc["resources"] is None  # absent optional serialized as null
 
 

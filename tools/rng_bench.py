@@ -98,7 +98,7 @@ def time_job(eb) -> tuple[float, dict[str, str]]:
     result = eb.runner.run_scenario(config)
     elapsed = time.perf_counter() - start
     with tempfile.TemporaryDirectory() as out:
-        paths = eb.runner.write_artifacts(result, out, charts=False)
+        paths = eb.runner.write_artifacts(result, out)
         digests = {paths[key].name: hashlib.sha256(paths[key].read_bytes()).hexdigest()
                    for key in ("csv", "json")}
     return elapsed / JOB_ITEMS * 1e9, digests
